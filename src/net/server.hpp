@@ -132,9 +132,10 @@ class NetServer {
   bool running() const { return running_.load(std::memory_order_acquire); }
 
   /// Block SIGTERM/SIGINT in the calling thread (and every thread it spawns
-  /// afterwards). Call FIRST THING in main, before the fleet exists, so no
-  /// worker thread can receive the process-directed signal with the default
-  /// (terminating) disposition.
+  /// afterwards). Every library thread already starts with them blocked
+  /// (spawn_thread, common/thread.hpp); call this in main before
+  /// install_signal_drain() so the main thread cannot receive the
+  /// process-directed signal with the default (terminating) disposition.
   static void block_drain_signals();
 
   /// Spawn the watcher thread that turns SIGTERM/SIGINT into

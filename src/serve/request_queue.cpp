@@ -130,7 +130,26 @@ void RequestQueue::shed_incoming(ServeRequest req, std::string_view reason) {
                          std::move(ctx))));
 }
 
+void RequestQueue::leave_push() {
+  if (pushers_.fetch_sub(1, std::memory_order_seq_cst) == 1 &&
+      closed_.load(std::memory_order_seq_cst)) {
+    { std::lock_guard<std::mutex> lock(mutex_); }  // see enqueue_to_shard
+    cv_.notify_all();
+  }
+}
+
 bool RequestQueue::push(ServeRequest req) {
+  // Announce the push BEFORE reading closed_ (both seq_cst; Dekker partner
+  // of pop_batch's exit check, which reads closed_, then pushers_, then
+  // inbox_count_). A push that sees the queue open therefore publishes its
+  // request before any worker can decide the closed queue is drained and
+  // exit — otherwise the request would be stranded and its future would
+  // never settle.
+  pushers_.fetch_add(1, std::memory_order_seq_cst);
+  struct Leave {
+    RequestQueue& queue;
+    ~Leave() { queue.leave_push(); }
+  } leave{*this};
   if (closed_.load(std::memory_order_seq_cst)) {
     // A submit racing shutdown settles its future with a typed OverloadError
     // instead of throwing into the submitter: the caller (fleet front door,
@@ -368,7 +387,8 @@ void RequestQueue::pop_batch(std::size_t worker, std::vector<ServeRequest>& out)
     sleepers_.fetch_add(1, std::memory_order_seq_cst);
     cv_.wait(lock, [&] {
       if (inbox_count_.load(std::memory_order_seq_cst) > 0) drain_inbox_locked();
-      if (closed_.load(std::memory_order_seq_cst) && pending_.empty() &&
+      if (closed_.load(std::memory_order_seq_cst) &&
+          pushers_.load(std::memory_order_seq_cst) == 0 && pending_.empty() &&
           inbox_count_.load(std::memory_order_seq_cst) == 0)
         return true;  // drained — exit
       return !pending_.empty() && is_turn(worker);

@@ -148,9 +148,10 @@ class RequestQueue {
   /// Enqueue a request (stamps its queue-entry time and arrival sequence).
   /// Returns true when admitted; when admission control sheds the request
   /// instead, its promise fails with OverloadError and push returns false.
-  /// A push racing (or after) close() is shed the same way — the future
-  /// settles with OverloadError("queue closed"), it never throws — so a
-  /// submitter can lose the race against shutdown without special-casing.
+  /// A push racing (or after) close() is either shed the same way — the
+  /// future settles with OverloadError("queue closed"), it never throws —
+  /// or admitted and served: workers do not exit while a push is in flight.
+  /// A submitter can lose the race against shutdown without special-casing.
   bool push(ServeRequest req);
 
   /// Put recovered in-flight requests BACK at the front of the queue,
@@ -258,6 +259,10 @@ class RequestQueue {
   /// Drop-oldest admission: the exact, scheduler-mutex path.
   bool push_drop_oldest(ServeRequest req);
 
+  /// End of a push(): the last push to leave a closed queue wakes the
+  /// workers whose exit waited for it.
+  void leave_push();
+
   const std::size_t workers_;
   DynamicBatcher batcher_;
   const DispatchPolicy policy_;
@@ -271,6 +276,7 @@ class RequestQueue {
   std::atomic<std::uint64_t> backlog_cost_{0};    // summed cost of the above
   std::atomic<std::uint64_t> sheds_{0};           // admission-control counter
   std::atomic<std::size_t> sleepers_{0};          // workers parked on cv_
+  std::atomic<std::size_t> pushers_{0};           // push() calls in flight
   std::atomic<bool> closed_{false};
   std::atomic<double> window_scale_{1.0};         // brownout window shrink
 

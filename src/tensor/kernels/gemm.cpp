@@ -5,7 +5,6 @@
 #include <chrono>
 #include <cstdlib>
 #include <string>
-#include <vector>
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 #include <immintrin.h>
@@ -23,15 +22,21 @@ namespace onesa::tensor::kernels {
 
 namespace {
 
-// Blocking parameters live in pack.hpp (kMR / kMC / kKC / kNC): the packer
-// and this loop nest must agree on the panel geometry. The micro-tile is
-// kMR x nr register accumulators (nr is per-ISA, below); the packed A block
-// (kMC x kKC) targets L2, the packed B sliver (kKC x nr) streams from L1
-// while a whole B panel (kKC x kNC) sits behind it.
-constexpr std::size_t MR = kMR;
-constexpr std::size_t MC = kMC;
+// Blocking parameters shared with the packer live in pack.hpp (kKC / kNC):
+// the packer and this loop nest must agree on the panel geometry. The
+// micro-tile is mr x nr register accumulators (both per-ISA, below); the
+// packed A block (MC x KC) targets L2, the packed B sliver (KC x nr)
+// streams from L1 while a whole B panel (KC x NC) sits behind it.
 constexpr std::size_t KC = kKC;
 constexpr std::size_t NC = kNC;
+
+/// Row-block height of the packed A. B always arrives pre-packed (by the
+/// caller, or once per gemm() call), so there is no pack-as-you-go
+/// locality to protect: a tall block (A block 128 x KC = 256 KB, still
+/// L2-resident) halves how often each packed B panel must be re-streamed
+/// from L3 for short serving batches. Pure traversal parameter — bits are
+/// unaffected.
+constexpr std::size_t MC = 128;
 
 /// Problems whose PER-ROW work (k * n MACs) is below this take the
 /// reference-order loop (row-sliced over the pool when m alone makes the
@@ -42,42 +47,41 @@ constexpr std::size_t NC = kNC;
 /// serving tier's dynamic batcher relies on this: a request served inside a
 /// tall batched matmul must be bit-identical to the same request served
 /// alone (blocked results are per-row position-independent, see
-/// gemm_blocked; this keeps the reference/blocked dispatch row-stable too).
-/// Kept small (8x8) so real workload shapes — e.g. conv im2col GEMMs with
-/// k*n in the hundreds — stay on the blocked SIMD path at any m.
-/// gemm_packed() uses the identical criterion, so the packed path is
-/// row-stable by the same argument.
+/// blocked_over_packed; this keeps the reference/blocked dispatch
+/// row-stable too). Kept small (8x8) so real workload shapes — e.g. conv
+/// im2col GEMMs with k*n in the hundreds — stay on the blocked SIMD path at
+/// any m. gemm() and gemm_packed() share the criterion.
 constexpr std::size_t kTinyRowMacs = 8 * 8;
 
 /// Minimum MACs per thread before the multi-thread path switches on.
 constexpr std::size_t kMacsPerThread = 1u << 20;
 
-/// Largest pack scratch a thread keeps alive between calls. Reuse matters
+/// Largest A-pack scratch a thread keeps alive between calls. Reuse matters
 /// on the serving hot path (small per-request A packs, zero allocations),
-/// but a one-off huge training GEMM must not pin tens of MB per thread for
-/// the rest of its life — anything above this is freed after the call (the
-/// old per-panel scratch was bounded at ~1 MB, one KC x NC panel).
+/// but a one-off huge training GEMM must not pin tens of MB on every pool
+/// lane for the rest of its life — anything above this is freed.
 constexpr std::size_t kScratchRetainBytes = 4u << 20;
 
-/// Row-block height of the pack-once path. With B already packed there is
-/// no pack-as-you-go locality to protect, so a taller block (A block
-/// 128 x KC = 256 KB, still L2-resident) halves how often each packed B
-/// panel must be re-streamed from L3 for short serving batches. Pure
-/// traversal parameter — bits are unaffected.
-constexpr std::size_t kMCPacked = 128;
+/// Largest packed-B scratch gemm()'s calling thread keeps between calls. A
+/// freed scratch costs one page fault per 4 KB when the next call re-packs
+/// (4.6k faults took a single-thread 128x3072x768 GEMM from ~21 to ~28 ms),
+/// so the cap sits above the BERT-base weights (768x3072 packs to 18.9 MB).
+/// Pool lanes only read the caller's scratch; they keep none of their own.
+constexpr std::size_t kPackedBRetainBytes = 32u << 20;
 
 std::size_t round_up(std::size_t v, std::size_t to) { return (v + to - 1) / to * to; }
 
 // ---------------------------------------------------------- micro-kernels
 //
-// A micro-kernel computes acc[MR x nr] = sum_p ap[p][:] (outer) bp[p][:]
-// over MR-tall A slivers and nr-wide B slivers, accumulators held in
+// A micro-kernel computes acc[mr x nr] = sum_p ap[p][:] (outer) bp[p][:]
+// over mr-tall A slivers and nr-wide B slivers, accumulators held in
 // registers across the whole k-panel — this is where the speedup over the
 // reference loop comes from (the reference re-reads and re-writes the C row
-// every k step). Several ISA variants exist; which one runs is picked once
-// at startup from CPUID, the same runtime-dispatch scheme BLAS libraries
-// use, so no special build flags are needed and the baseline C++ kernel
-// remains the portable fallback.
+// every k step). Three ISA variants exist (AVX-512 8x16, AVX2 4x8,
+// portable 4x8); which one runs is picked once at startup from CPUID, the
+// same runtime-dispatch scheme BLAS libraries use, so no special build
+// flags are needed and the baseline C++ kernel remains the portable
+// fallback.
 //
 // Numerics: every variant accumulates each output element in the same
 // ascending-k order as the reference, so for finite inputs the only
@@ -89,6 +93,9 @@ std::size_t round_up(std::size_t v, std::size_t to) { return (v + to - 1) / to *
 // Deterministic mode bypasses the micro-kernels entirely.
 
 using MicroKernelFn = void (*)(const double*, const double*, std::size_t, double*);
+
+/// Tile height of the AVX2 and portable micro-kernels.
+constexpr std::size_t MR = kMR;
 
 /// Full-tile store hook of a micro-kernel (nullptr = scalar store loops).
 /// The enumerator values are load-bearing: implementations decode
@@ -164,50 +171,12 @@ __attribute__((target("avx2,fma"))) void micro_kernel_avx2(const double* __restr
   _mm256_storeu_pd(acc_out + 28, c31);
 }
 
-/// 4x16 AVX-512 tile: 8 zmm accumulators (4 rows x 2 8-double vectors),
-/// twice the flops of the AVX2 tile per k step at the same instruction
-/// count. 11 live zmm registers out of 32.
-__attribute__((target("avx512f"))) void micro_kernel_avx512(const double* __restrict ap,
-                                                            const double* __restrict bp,
-                                                            std::size_t kc,
-                                                            double* __restrict acc_out) {
-  constexpr std::size_t nr = 16;
-  __m512d c00 = _mm512_setzero_pd(), c01 = _mm512_setzero_pd();
-  __m512d c10 = _mm512_setzero_pd(), c11 = _mm512_setzero_pd();
-  __m512d c20 = _mm512_setzero_pd(), c21 = _mm512_setzero_pd();
-  __m512d c30 = _mm512_setzero_pd(), c31 = _mm512_setzero_pd();
-  for (std::size_t p = 0; p < kc; ++p) {
-    const __m512d b0 = _mm512_loadu_pd(bp + p * nr);
-    const __m512d b1 = _mm512_loadu_pd(bp + p * nr + 8);
-    __m512d a = _mm512_set1_pd(ap[p * MR + 0]);
-    c00 = _mm512_fmadd_pd(a, b0, c00);
-    c01 = _mm512_fmadd_pd(a, b1, c01);
-    a = _mm512_set1_pd(ap[p * MR + 1]);
-    c10 = _mm512_fmadd_pd(a, b0, c10);
-    c11 = _mm512_fmadd_pd(a, b1, c11);
-    a = _mm512_set1_pd(ap[p * MR + 2]);
-    c20 = _mm512_fmadd_pd(a, b0, c20);
-    c21 = _mm512_fmadd_pd(a, b1, c21);
-    a = _mm512_set1_pd(ap[p * MR + 3]);
-    c30 = _mm512_fmadd_pd(a, b0, c30);
-    c31 = _mm512_fmadd_pd(a, b1, c31);
-  }
-  _mm512_storeu_pd(acc_out + 0, c00);
-  _mm512_storeu_pd(acc_out + 8, c01);
-  _mm512_storeu_pd(acc_out + 16, c10);
-  _mm512_storeu_pd(acc_out + 24, c11);
-  _mm512_storeu_pd(acc_out + 32, c20);
-  _mm512_storeu_pd(acc_out + 40, c21);
-  _mm512_storeu_pd(acc_out + 48, c30);
-  _mm512_storeu_pd(acc_out + 56, c31);
-}
-/// 8x16 AVX-512 tile for the pack-once path: 16 zmm accumulators (8 rows x
-/// 2 8-double vectors), 19 live zmm registers out of 32. Twice the rows of
-/// the 4x16 tile means twice the accumulators in flight (fully hiding FMA
-/// latency, where 8 accumulators sit right at the latency-throughput
-/// product) and half the B sliver loads per MAC. Per output element the
-/// k-loop order is unchanged, so results are bit-identical to the 4-row
-/// tiles — the micro-tile height only groups rows.
+/// 8x16 AVX-512 tile: 16 zmm accumulators (8 rows x 2 8-double vectors),
+/// 19 live zmm registers out of 32. Eight rows keep 16 accumulators in
+/// flight (fully hiding FMA latency, where 8 would sit right at the
+/// latency-throughput product) and halve the B sliver loads per MAC
+/// against a 4-row tile. Per output element the k-loop order is the same
+/// as every other variant's — the micro-tile height only groups rows.
 __attribute__((target("avx512f"))) void micro_kernel_avx512_8x16(
     const double* __restrict ap, const double* __restrict bp, std::size_t kc,
     double* __restrict acc_out) {
@@ -270,7 +239,7 @@ __attribute__((target("avx512f"))) void micro_kernel_avx512_8x16(
   _mm512_storeu_pd(acc_out + 112, c70);
   _mm512_storeu_pd(acc_out + 120, c71);
 }
-/// Vectorized full-tile store for the 8x16 pack-once pipeline: moves the
+/// Vectorized full-tile store for the 8x16 tile: moves the
 /// accumulator tile into C (copy or accumulate) with the bias / bias+ReLU
 /// epilogue folded in, 16 zmm stores instead of 128 scalar ones. Element
 /// op order matches the scalar store loops exactly (v = [c +] acc, then
@@ -331,9 +300,14 @@ struct MicroKernel {
   StoreTileFn store = nullptr;
 };
 
+/// The one micro-kernel every blocked GEMM runs. AVX2 lacks the registers
+/// for 8 rows (8x8 would need 16 accumulator ymm of the 16 total), so only
+/// AVX-512 gets the 8-row tile and its vectorized store.
 MicroKernel select_micro_kernel() {
 #ifdef ONESA_GEMM_X86_KERNELS
-  if (__builtin_cpu_supports("avx512f")) return {micro_kernel_avx512, MR, 16, nullptr};
+  if (__builtin_cpu_supports("avx512f")) {
+    return {micro_kernel_avx512_8x16, 8, 16, store_tile_avx512_8x16};
+  }
   if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma")) {
     return {micro_kernel_avx2, MR, 8, nullptr};
   }
@@ -341,23 +315,10 @@ MicroKernel select_micro_kernel() {
   return {micro_kernel_generic, MR, 8, nullptr};
 }
 
-/// Micro-kernel of the pack-once path. On AVX-512 the 8x16 tile wins (see
-/// micro_kernel_avx512_8x16); AVX2 lacks the registers for 8 rows (8x8
-/// would need 16 accumulator ymm of the 16 total), so other ISAs keep the
-/// 4-row tile. Same bits either way — only the traversal grouping differs.
-MicroKernel select_packed_micro_kernel() {
-#ifdef ONESA_GEMM_X86_KERNELS
-  if (__builtin_cpu_supports("avx512f")) {
-    return {micro_kernel_avx512_8x16, 8, 16, store_tile_avx512_8x16};
-  }
-#endif
-  return select_micro_kernel();
-}
-
 const MicroKernel g_micro = select_micro_kernel();
-const MicroKernel g_packed_micro = select_packed_micro_kernel();
 
 static_assert(NC % kMaxNr == 0, "B panel width must hold whole slivers");
+static_assert(MC % kMaxMr == 0 && MC % MR == 0, "A row blocks must hold whole micro-rows");
 
 std::atomic<int> g_deterministic_override{-1};  // -1 = follow the environment
 
@@ -410,27 +371,42 @@ void pack_a_block(const double* a, std::size_t k, std::size_t ic, std::size_t kc
   }
 }
 
-/// The blocked loop nest, parameterized over where packed operands come
-/// from:
-///   b_panel_of(jc, kc, kcb, ncb) — base of that B panel's slivers (packed
-///       inline for the one-shot path, or a PackedB panel for the pack-once
-///       path; both produce the identical layout, so results are
-///       bit-identical between the two);
-///   a_block_of(ic, kc, mcb, kcb) — base of the packed A block (packed per
-///       visit for the one-shot path, or once per call for the pack-once
-///       path — same layout, same bits, the traversal factor is the only
-///       difference).
+/// The blocked GEMM: C[m x n] = A[m x k] * B, B pre-packed (by the caller,
+/// or once per call by gemm()). A is packed exactly ONCE per call into
+/// MC-row blocks of mr-tall slivers, ic-major with the k-panels inner, so
+/// block (ic, kc) starts at ic * k + round_up(mcb, mr) * kc (every block
+/// before the last is a whole MC rows, a multiple of mr).
+/// Each output row's result depends only on its own A row, never on its
+/// position in the block, so row slices and stacked batches reproduce it
+/// bit for bit.
 /// The epilogue, if any, is fused into the store of the LAST k-panel: each
 /// output element receives bias+activation exactly once, after its full
 /// k-sum is formed, in the same order the unfused composed ops would apply
 /// them.
-template <typename BPanelFn, typename ABlockFn>
-void blocked_compute(double* c, std::size_t m, std::size_t k, std::size_t n,
-                     const Epilogue& epi, const MicroKernel& mk, std::size_t mc,
-                     BPanelFn&& b_panel_of, ABlockFn&& a_block_of) {
+void blocked_over_packed(const double* a, const PackedB& b, double* c, std::size_t m,
+                         const Epilogue& epi) {
+  const std::size_t k = b.k();
+  const std::size_t n = b.n();
+  const MicroKernel& mk = g_micro;
   const MicroKernelFn micro = mk.fn;
   const std::size_t mr = mk.mr;
   const std::size_t nr = mk.nr;
+
+  // Per-thread A-pack scratch in one bump arena (tensor/arena.hpp): reused
+  // across calls, with debug boundary guards that reset() at the next call
+  // verifies, so an out-of-bounds pack write fails loudly in
+  // Debug/sanitizer builds. shrink_to caps what a thread keeps.
+  thread_local MemoryStack pack_arena;
+  pack_arena.reset();
+  pack_arena.shrink_to(kScratchRetainBytes);
+  double* apack = pack_arena.allocate_span<double>(round_up(m, mr) * k);
+  for (std::size_t ic = 0; ic < m; ic += MC) {
+    const std::size_t mcb = std::min(MC, m - ic);
+    for (std::size_t kc = 0; kc < k; kc += KC) {
+      pack_a_block(a, k, ic, kc, mcb, std::min(KC, k - kc), mr,
+                   apack + ic * k + round_up(mcb, mr) * kc);
+    }
+  }
 
   for (std::size_t jc = 0; jc < n; jc += NC) {
     const std::size_t ncb = std::min(NC, n - jc);
@@ -438,17 +414,17 @@ void blocked_compute(double* c, std::size_t m, std::size_t k, std::size_t n,
       const std::size_t kcb = std::min(KC, k - kc);
       const bool first_panel = kc == 0;
       const bool last_panel = kc + KC >= k;
-      const double* bpack = b_panel_of(jc, kc, kcb, ncb);
+      const double* bpack = b.panel(jc / NC, kc / KC);
 
-      for (std::size_t ic = 0; ic < m; ic += mc) {
-        const std::size_t mcb = std::min(mc, m - ic);
-        const double* apack = a_block_of(ic, kc, mcb, kcb);
+      for (std::size_t ic = 0; ic < m; ic += MC) {
+        const std::size_t mcb = std::min(MC, m - ic);
+        const double* ablock = apack + ic * k + round_up(mcb, mr) * kc;
 
         for (std::size_t jr = 0; jr < ncb; jr += nr) {
           const double* bp = bpack + jr * kcb;
           const std::size_t w = std::min(nr, ncb - jr);
           for (std::size_t ir = 0; ir < mcb; ir += mr) {
-            const double* ap = apack + ir * kcb;
+            const double* ap = ablock + ir * kcb;
             const std::size_t h = std::min(mr, mcb - ir);
             double acc[kMaxMr * kMaxNr];
             micro(ap, bp, kcb, acc);
@@ -524,75 +500,28 @@ void blocked_compute(double* c, std::size_t m, std::size_t k, std::size_t n,
   }
 }
 
-/// Blocked compute against a pre-packed B: no B packing at all, and A is
-/// packed exactly ONCE per call (the one-shot path re-packs each A block
-/// once per B column panel instead — with B pre-packed the whole A fits the
-/// same L2 budget the per-panel scheme targeted, and the repeated-B hot
-/// path drops n/NC - 1 redundant A sweeps). Same block layout, same bits.
-void blocked_over_packed(const double* a, const PackedB& b, double* c, std::size_t m,
-                         const Epilogue& epi) {
-  const std::size_t k = b.k();
-  // Per-thread pack scratch now lives in ONE bump arena (tensor/arena.hpp)
-  // instead of two ad-hoc vectors: same steady-state reuse, plus debug
-  // boundary guards around the A pack and the offset table — reset() at the
-  // next call verifies the guards, so an out-of-bounds pack write fails
-  // loudly in Debug/sanitizer builds. shrink_to keeps the old retention cap.
-  thread_local MemoryStack pack_arena;
-  pack_arena.reset();
-  pack_arena.shrink_to(kScratchRetainBytes);
-
-  const std::size_t mr = g_packed_micro.mr;
-  const std::size_t mcp = kMCPacked;
-  const std::size_t kc_panels = b.kc_panels();
-  const std::size_t ic_blocks = (m + mcp - 1) / mcp;
-  std::size_t* a_offsets = pack_arena.allocate_span<std::size_t>(ic_blocks * kc_panels);
-  std::size_t offsets = 0;
-  std::size_t total = 0;
-  for (std::size_t ic = 0; ic < m; ic += mcp) {
-    const std::size_t mcb_pad = round_up(std::min(mcp, m - ic), mr);
-    for (std::size_t kc = 0; kc < k; kc += KC) {
-      a_offsets[offsets++] = total;
-      total += mcb_pad * std::min(KC, k - kc);
-    }
-  }
-  double* apack_full = pack_arena.allocate_span<double>(total);
-  std::size_t block = 0;
-  for (std::size_t ic = 0; ic < m; ic += mcp) {
-    const std::size_t mcb = std::min(mcp, m - ic);
-    for (std::size_t kc = 0; kc < k; kc += KC) {
-      pack_a_block(a, k, ic, kc, mcb, std::min(KC, k - kc), mr,
-                   apack_full + a_offsets[block++]);
-    }
-  }
-
-  blocked_compute(
-      c, m, k, b.n(), epi, g_packed_micro, mcp,
-      [&b](std::size_t jc, std::size_t kc, std::size_t, std::size_t) {
-        return b.panel(jc / NC, kc / KC);
-      },
-      [&](std::size_t ic, std::size_t kc, std::size_t, std::size_t) {
-        return apack_full + a_offsets[(ic / mcp) * kc_panels + kc / KC];
-      });
+/// Rows per slice when m rows fan out over `threads` lanes: whole
+/// micro-rows, so no slice boundary splits a micro-tile.
+std::size_t slice_rows(std::size_t m, std::size_t threads) {
+  return round_up(std::max<std::size_t>(1, (m + threads - 1) / threads), g_micro.mr);
 }
 
-/// Row-sliced fan-out of blocked_over_packed: every worker consumes the ONE
-/// shared packed B (read-only) — this is what replaced the old
-/// pack-B-per-thread scheme. Slices are whole micro-rows, so per-row bits
-/// match the single-thread result exactly.
-void blocked_over_packed_sliced(const double* a, const PackedB& b, double* c,
-                                std::size_t m, const Epilogue& epi,
-                                std::size_t threads) {
+/// The one row-sliced fan-out of every GEMM path: body(lo, hi) for each
+/// slice of [0, m) on the kernel pool, or body(0, m) inline when threads
+/// <= 1. Every path computes a row from that row alone, so slicing never
+/// changes bits; the blocked path's workers all read the ONE shared packed
+/// B.
+template <typename Body>
+void for_row_slices(std::size_t m, std::size_t threads, Body&& body) {
   if (threads <= 1) {
-    blocked_over_packed(a, b, c, m, epi);
+    body(std::size_t{0}, m);
     return;
   }
-  const std::size_t k = b.k();
-  const std::size_t n = b.n();
-  const std::size_t per = round_up((m + threads - 1) / threads, g_packed_micro.mr);
+  const std::size_t per = slice_rows(m, threads);
   ThreadPool::instance().run(threads, [&](std::size_t part) {
     const std::size_t lo = std::min(m, part * per);
     const std::size_t hi = std::min(m, lo + per);
-    if (lo < hi) blocked_over_packed(a + lo * k, b, c + lo * n, hi - lo, epi);
+    if (lo < hi) body(lo, hi);
   });
 }
 
@@ -687,102 +616,18 @@ void gemm_reference(const double* a, const double* b, double* c, std::size_t m,
   }
 }
 
-void gemm_blocked(const double* a, const double* b, double* c, std::size_t m,
-                  std::size_t k, std::size_t n) {
-  if (m == 0 || n == 0) return;
-  if (k == 0) {
-    std::fill(c, c + m * n, 0.0);
-    return;
-  }
-  const std::size_t nr = g_micro.nr;
-  thread_local std::vector<double> bpack;
-  thread_local std::vector<double> apack;
-  // One-shot path: pack each B panel inline, right before its compute (best
-  // cache locality when B is used once), and each A block per visit.
-  // Identical sliver layouts to the pack-once path, so blocked results
-  // match it bit for bit.
-  blocked_compute(
-      c, m, k, n, Epilogue{}, g_micro, MC,
-      [&](std::size_t jc, std::size_t kc, std::size_t kcb, std::size_t ncb) {
-        const std::size_t ncb_pad = round_up(ncb, nr);
-        bpack.resize(kcb * ncb_pad);
-        for (std::size_t jr = 0; jr < ncb; jr += nr) {
-          double* dst = bpack.data() + jr * kcb;
-          const std::size_t w = std::min(nr, ncb - jr);
-          for (std::size_t p = 0; p < kcb; ++p) {
-            const double* src = b + (kc + p) * n + jc + jr;
-            for (std::size_t cc = 0; cc < w; ++cc) dst[p * nr + cc] = src[cc];
-            for (std::size_t cc = w; cc < nr; ++cc) dst[p * nr + cc] = 0.0;
-          }
-        }
-        detail::note_pack_panel();
-        return bpack.data();
-      },
-      [&](std::size_t ic, std::size_t kc, std::size_t mcb, std::size_t kcb) {
-        apack.resize(round_up(mcb, MR) * kcb);
-        pack_a_block(a, k, ic, kc, mcb, kcb, MR, apack.data());
-        return apack.data();
-      });
-}
-
 std::size_t gemm_threads(std::size_t m, std::size_t k, std::size_t n) {
   if (deterministic()) return 1;
   const std::size_t macs = m * k * n;
   std::size_t t = ThreadPool::instance().effective_threads();
   t = std::min(t, std::max<std::size_t>(1, macs / kMacsPerThread));
-  t = std::min(t, (m + MR - 1) / MR);  // at least one micro-row block each
-  return t;
+  // Slices are whole micro-rows of the selected kernel: count only the
+  // slices that get rows, so no lane is handed an empty one.
+  const std::size_t per = slice_rows(m, t);
+  return std::max<std::size_t>(1, (m + per - 1) / per);
 }
 
 namespace {
-
-/// The dispatch body of gemm() (the public entry wraps it in the profiling
-/// hook).
-void gemm_dispatch(const double* a, const double* b, double* c, std::size_t m,
-                   std::size_t k, std::size_t n) {
-  if (m == 0 || n == 0) return;
-  if (k == 0) {
-    std::fill(c, c + m * n, 0.0);
-    return;
-  }
-  if (deterministic()) {
-    gemm_reference(a, b, c, m, k, n);
-    return;
-  }
-  if (k * n <= kTinyRowMacs) {
-    // Skinny rows: reference order, but still row-sliced over the pool when
-    // a tall m makes the total work worth threading (slicing never changes
-    // a row's bits).
-    const std::size_t threads = gemm_threads(m, k, n);
-    if (threads <= 1) {
-      gemm_reference(a, b, c, m, k, n);
-      return;
-    }
-    const std::size_t per = (m + threads - 1) / threads;
-    ThreadPool::instance().run(threads, [&](std::size_t part) {
-      const std::size_t lo = std::min(m, part * per);
-      const std::size_t hi = std::min(m, lo + per);
-      if (lo < hi) gemm_reference(a + lo * k, b, c + lo * n, hi - lo, k, n);
-    });
-    return;
-  }
-  const std::size_t threads = gemm_threads(m, k, n);
-  if (threads <= 1) {
-    gemm_blocked(a, b, c, m, k, n);
-    return;
-  }
-  // Multi-thread: pack B ONCE into a per-call scratch (buffer reused across
-  // calls on this thread), then fan row slices out over the pool against
-  // the one shared packed copy. This replaced the old per-thread re-pack —
-  // every (kc, jc) panel is now packed exactly once per gemm, not once per
-  // thread (asserted by the pack counter in tests). Safe to reuse the
-  // thread_local here: the slice workers never re-enter gemm(), so the
-  // scratch cannot be aliased recursively.
-  thread_local PackedB shared;
-  PackedB::pack_into(shared, b, k, n);
-  blocked_over_packed_sliced(a, shared, c, m, Epilogue{}, threads);
-  if (shared.packed_bytes() > kScratchRetainBytes) shared = PackedB();
-}
 
 /// The dispatch body of gemm_packed() (public entry wraps it likewise).
 void gemm_packed_dispatch(const double* a, const PackedB& b, double* c, std::size_t m,
@@ -795,36 +640,47 @@ void gemm_packed_dispatch(const double* a, const PackedB& b, double* c, std::siz
                                                    << " does not match the selected "
                                                       "micro-kernel ("
                                                    << g_micro.nr << ")");
-  if (k == 0) {
-    std::fill(c, c + m * n, 0.0);
-    apply_epilogue_block(c, m, n, epi);
-    return;
-  }
-  if (deterministic()) {
-    gemm_reference_packed(a, b, c, m);
-    apply_epilogue_block(c, m, n, epi);
-    return;
-  }
-  if (k * n <= kTinyRowMacs) {
-    // Same tiny-row dispatch (and therefore row-stability) as gemm().
-    const std::size_t threads = gemm_threads(m, k, n);
-    if (threads <= 1) {
-      gemm_reference_packed(a, b, c, m);
-      apply_epilogue_block(c, m, n, epi);
-      return;
-    }
-    const std::size_t per = (m + threads - 1) / threads;
-    ThreadPool::instance().run(threads, [&](std::size_t part) {
-      const std::size_t lo = std::min(m, part * per);
-      const std::size_t hi = std::min(m, lo + per);
-      if (lo < hi) {
-        gemm_reference_packed(a + lo * k, b, c + lo * n, hi - lo);
-        apply_epilogue_block(c + lo * n, hi - lo, n, epi);
-      }
+  const std::size_t threads = gemm_threads(m, k, n);
+  if (deterministic() || k * n <= kTinyRowMacs) {
+    // Same reference-order dispatch (and therefore row-stability) as
+    // gemm(), reading B back out of the packed layout; the epilogue runs
+    // as a separate pass, like the unfused ops.
+    for_row_slices(m, threads, [&](std::size_t lo, std::size_t hi) {
+      gemm_reference_packed(a + lo * k, b, c + lo * n, hi - lo);
+      apply_epilogue_block(c + lo * n, hi - lo, n, epi);
     });
     return;
   }
-  blocked_over_packed_sliced(a, b, c, m, epi, gemm_threads(m, k, n));
+  for_row_slices(m, threads, [&](std::size_t lo, std::size_t hi) {
+    blocked_over_packed(a + lo * k, b, c + lo * n, hi - lo, epi);
+  });
+}
+
+/// The dispatch body of gemm() (the public entry wraps it in the profiling
+/// hook).
+void gemm_dispatch(const double* a, const double* b, double* c, std::size_t m,
+                   std::size_t k, std::size_t n) {
+  if (m == 0 || n == 0) return;
+  if (deterministic() || k * n <= kTinyRowMacs) {
+    // Reference order (k == 0 lands here too and zero-fills C): always in
+    // deterministic mode, and for skinny rows, row-sliced over the pool
+    // when a tall m makes the total work worth threading.
+    for_row_slices(m, gemm_threads(m, k, n), [&](std::size_t lo, std::size_t hi) {
+      gemm_reference(a + lo * k, b, c + lo * n, hi - lo, k, n);
+    });
+    return;
+  }
+  // Pack B ONCE into a per-thread scratch (buffer reused across calls),
+  // then run gemm_packed()'s pipeline on it: every (kc, jc) panel is packed
+  // exactly once per call at any thread count (asserted by the pack counter
+  // in tests), and every row slice reads the one packed copy. The scratch
+  // goes down by reference — a lambda naming a thread_local would reach
+  // each pool worker's own instance. Safe to reuse: the slice workers never
+  // re-enter gemm().
+  thread_local PackedB scratch;
+  PackedB::pack_into(scratch, b, k, n);
+  gemm_packed_dispatch(a, scratch, c, m, Epilogue{});
+  if (scratch.packed_bytes() > kPackedBRetainBytes) scratch = PackedB();
 }
 
 }  // namespace

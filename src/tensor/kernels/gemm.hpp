@@ -1,13 +1,16 @@
 // Cache-blocked, multi-threaded double-precision GEMM over flat row-major
 // buffers — the fast path behind tensor::matmul.
 //
-// Structure (BLIS-style, scaled down to readable C++):
+// Structure (BLIS-style, scaled down to readable C++). One pipeline serves
+// every caller: gemm() packs B once per call, gemm_packed() takes B packed
+// ahead of time, and both then run the same loop nest on row slices of A
+// (one slice per kernel-pool lane, all reading the one packed B):
 //
+//   pack B into NR-wide slivers per (KC x NC) panel      (once, see pack.hpp)
+//   pack the slice's A into MR-tall slivers per (MC x KC) block   (once)
 //   for jc over N in NC columns            (B column panel)
-//     for kc over K in KC rows             (k-panel: packed B sliver block)
-//       pack B[kc, jc] into NR-wide slivers
-//       for ic over M in MC rows           (A row block, one thread each)
-//         pack A[ic, kc] into MR-tall slivers
+//     for kc over K in KC rows             (k-panel)
+//       for ic over M in MC rows           (A row block)
 //         for each MR x NR micro-tile: k-panel inner loop on register
 //           accumulators, then one store (first panel) or accumulate-store
 //
@@ -35,16 +38,11 @@ namespace onesa::tensor::kernels {
 void gemm_reference(const double* a, const double* b, double* c, std::size_t m,
                     std::size_t k, std::size_t n);
 
-/// Blocked single-thread GEMM. C is fully overwritten (no zero-init needed).
-void gemm_blocked(const double* a, const double* b, double* c, std::size_t m,
-                  std::size_t k, std::size_t n);
-
-/// Production entry point: picks reference order (deterministic mode or tiny
-/// problems), blocked single-thread, or blocked multi-thread (row blocks
-/// spread over the kernel ThreadPool) by problem size. The multi-thread path
-/// packs B ONCE and shares the packed copy across every row-slice worker —
-/// each (kc, jc) panel is packed exactly once per call, never once per
-/// thread. C is fully overwritten.
+/// Production entry point: reference order (deterministic mode or tiny
+/// rows), else B packed ONCE into a per-thread scratch and the blocked
+/// pipeline of gemm_packed() over row slices spread across the kernel
+/// ThreadPool by problem size — each (kc, jc) panel is packed exactly once
+/// per call, at any thread count. C is fully overwritten.
 void gemm(const double* a, const double* b, double* c, std::size_t m, std::size_t k,
           std::size_t n);
 

@@ -65,9 +65,9 @@ void PackedB::pack_into(PackedB& dst, const double* b, std::size_t k, std::size_
   }
   dst.data_.resize(total);
 
-  // Second pass: the exact sliver layout the inline packer in gemm.cpp
-  // produces — nr-wide column slivers, k step innermost, zero-padded to full
-  // sliver width so micro-tiles always see whole vectors.
+  // Second pass: the sliver layout gemm.cpp's micro-kernels read — nr-wide
+  // column slivers, k step innermost, zero-padded to full sliver width so
+  // micro-tiles always see whole vectors.
   std::size_t panel_idx = 0;
   for (std::size_t jc = 0; jc < n; jc += kNC) {
     const std::size_t ncb = std::min(kNC, n - jc);

@@ -1,12 +1,11 @@
 // Persistent packed-weight storage for the blocked GEMM (pack-once reuse).
 //
 // The blocked kernel in gemm.cpp consumes B as NR-wide column slivers packed
-// per (KC x NC) cache panel. For a single matmul that packing is done inline
-// (interleaved with compute, per panel); but on the serving hot path the
-// same B — a model weight — is multiplied thousands of times, and re-packing
-// it per call (worse, per *thread* in the old multi-thread path) is pure
-// waste. PackedB captures the packed form once, cache-line aligned, so
-// gemm_packed() can run any number of GEMMs — across any number of threads
+// per (KC x NC) cache panel, and it only ever reads B in this form. A single
+// matmul (gemm()) packs B once per call into a per-thread PackedB; on the
+// serving hot path the same B — a model weight — is multiplied thousands of
+// times, so PackedB captures the packed form once, cache-line aligned, and
+// gemm_packed() runs any number of GEMMs — across any number of threads
 // sharing the ONE packed copy — with zero packing on the request path. This
 // is the BLIS-style "pack once, amortize forever" contract scaled to this
 // library.
@@ -26,14 +25,14 @@
 
 namespace onesa::tensor::kernels {
 
-// Blocking parameters shared by the packer and the blocked kernel (the
-// micro-tile is kMR x nr register accumulators; nr is per-ISA, see
+// Blocking parameters shared by the packers and the blocked kernels (the
+// micro-tile is mr x nr register accumulators; both are per-ISA, see
 // sliver_width()). One source of truth: gemm.cpp's loop nest and
 // PackedB::pack must agree on the panel geometry or the kernel would read
-// garbage slivers.
+// garbage slivers. kMR is the tile height of the 4-row kernels (AVX2 and
+// portable double, every INT16 variant).
 inline constexpr std::size_t kMR = 4;
 inline constexpr std::size_t kMaxNr = 16;
-inline constexpr std::size_t kMC = 64;
 inline constexpr std::size_t kKC = 256;
 inline constexpr std::size_t kNC = 512;  // multiple of every kernel's nr
 
@@ -98,8 +97,7 @@ class PackedB {
   std::size_t nc_panels() const { return n_ == 0 ? 0 : (n_ + kNC - 1) / kNC; }
 
   /// Base of the packed slivers of panel (jc_idx, kc_idx); sliver `jr`
-  /// (jr a multiple of nr) starts at base + jr * kcb, exactly the layout the
-  /// inline packer in gemm.cpp produces.
+  /// (jr a multiple of nr) starts at base + jr * kcb.
   const double* panel(std::size_t jc_idx, std::size_t kc_idx) const {
     return data_.data() + offsets_[jc_idx * kc_panels() + kc_idx];
   }
@@ -159,11 +157,11 @@ inline double epilogue_apply(const Epilogue& e, std::size_t j, double v) {
 // ------------------------------------------------------------ pack counter
 //
 // Debug-only instrumentation: every B panel packed anywhere in the kernel
-// layer (PackedB::pack AND the inline per-call packer in gemm.cpp) bumps a
-// process-wide counter, letting tests assert the pack-once contract — e.g.
-// that a threaded gemm() packs each (kc, jc) panel exactly once instead of
-// once per thread, and that gemm_packed() packs nothing at all. Compiled
-// out under NDEBUG (pack_counter_enabled() says which build you got).
+// layer (PackedB::pack_into, which gemm() also uses per call, and the INT16
+// packer) bumps a process-wide counter, letting tests assert the pack-once
+// contract — e.g. that gemm() packs each (kc, jc) panel exactly once at any
+// thread count, and that gemm_packed() packs nothing at all. Compiled out
+// under NDEBUG (pack_counter_enabled() says which build you got).
 
 bool pack_counter_enabled();
 std::uint64_t pack_panel_count();

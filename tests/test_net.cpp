@@ -30,6 +30,7 @@
 #include "nn/linear.hpp"
 #include "nn/models.hpp"
 #include "serve/fleet.hpp"
+#include "tensor/kernels/thread_pool.hpp"
 #include "tensor/ops.hpp"
 
 namespace onesa::net {
@@ -625,6 +626,21 @@ TEST(NetServer, SigtermTriggersGracefulDrain) {
   BlockingClient client;
   client.connect("127.0.0.1", stack.server.port());
   ASSERT_TRUE(client.ping(700).has_value());
+
+  ASSERT_EQ(kill(getpid(), SIGTERM), 0);
+  ASSERT_TRUE(stack.server.wait_drained(10000.0));
+  EXPECT_FALSE(stack.server.running());
+  stack.server.stop();
+}
+
+TEST(NetServer, SigtermDrainsWhenLibraryThreadsPredateTheMask) {
+  // An embedder that builds the kernel pool and a fleet BEFORE blocking the
+  // drain signals: those library threads must still never be picked for a
+  // process-directed SIGTERM, whose default action would kill the process.
+  tensor::kernels::ThreadPool::instance();
+  TestStack stack({}, tiny_fleet(/*shards=*/1, /*workers=*/2));
+  NetServer::block_drain_signals();
+  stack.server.install_signal_drain();
 
   ASSERT_EQ(kill(getpid(), SIGTERM), 0);
   ASSERT_TRUE(stack.server.wait_drained(10000.0));
