@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "common/error.hpp"
+#include "cpwl/gelu.hpp"
 
 namespace onesa::cpwl {
 
@@ -34,8 +35,7 @@ std::string_view function_name(FunctionKind kind) {
 double eval_reference(FunctionKind kind, double x) {
   switch (kind) {
     case FunctionKind::kGelu:
-      // Exact GELU via the Gauss error function: x * Phi(x).
-      return 0.5 * x * (1.0 + std::erf(x / std::sqrt(2.0)));
+      return gelu_exact(x);
     case FunctionKind::kExp:
       return std::exp(x);
     case FunctionKind::kReciprocal:

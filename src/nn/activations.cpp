@@ -4,6 +4,7 @@
 #include <span>
 
 #include "common/error.hpp"
+#include "cpwl/gelu.hpp"
 
 namespace onesa::nn {
 
@@ -16,14 +17,18 @@ tensor::Matrix Activation::forward(const tensor::Matrix& x) {
 }
 
 tensor::Matrix Activation::infer(const tensor::Matrix& x) const {
-  if (table_ != nullptr) {
-    // CPWL functional mode: one batched grid lookup over the flat table.
-    tensor::Matrix y(x.rows(), x.cols(), tensor::kUninitialized);
-    table_->eval_batch(std::span<const double>(x.data().data(), x.size()),
-                       std::span<double>(y.data().data(), y.size()));
-    return y;
+  if (table_ == nullptr && kind_ != cpwl::FunctionKind::kGelu) {
+    return x.map([this](double v) { return cpwl::eval_reference(kind_, v); });
   }
-  return x.map([this](double v) { return cpwl::eval_reference(kind_, v); });
+  tensor::Matrix y(x.rows(), x.cols(), tensor::kUninitialized);
+  const std::span<const double> in(x.data().data(), x.size());
+  const std::span<double> out(y.data().data(), y.size());
+  if (table_ != nullptr) {
+    table_->eval_batch(in, out);  // CPWL functional mode: one batched grid lookup
+  } else {
+    cpwl::gelu_exact(in, out);  // the vectorized exact GELU, same bits as eval_reference
+  }
+  return y;
 }
 
 double Activation::derivative(double x) const {

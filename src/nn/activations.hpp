@@ -10,7 +10,8 @@ namespace onesa::nn {
 
 /// Generic element-wise activation parameterized by the catalog function.
 ///
-/// forward() evaluates the exact reference function by default. Point the
+/// forward() evaluates the exact reference function by default (GELU through
+/// the vectorized cpwl::gelu_exact over the whole matrix). Point the
 /// layer at a CPWL table with use_table() and forward() instead runs the
 /// table's batched O(1) grid lookup (tensor/kernels-era SoA fast path) —
 /// the double-precision functional model of the accelerator's nonlinear

@@ -1,5 +1,6 @@
 #include "nn/attention.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "tensor/kernels/gemm.hpp"
@@ -10,19 +11,22 @@ namespace onesa::nn {
 
 namespace {
 
-/// Numerically stable row softmax (reference path).
-tensor::Matrix softmax_rows_ref(const tensor::Matrix& x) {
-  const tensor::Matrix mx = tensor::row_max(x);
-  tensor::Matrix y(x.rows(), x.cols());
-  for (std::size_t i = 0; i < x.rows(); ++i) {
+/// In-place numerically stable row softmax of scale * s: each element is
+/// scaled, then exp(v - row max) over the row sum, summed in ascending
+/// column order and divided (not multiplied by a reciprocal).
+void softmax_rows_scaled(tensor::Matrix& s, double scale) {
+  for (std::size_t i = 0; i < s.rows(); ++i) {
+    double* row = s.data().data() + i * s.cols();
+    for (std::size_t j = 0; j < s.cols(); ++j) row[j] *= scale;
+    double mx = row[0];
+    for (std::size_t j = 1; j < s.cols(); ++j) mx = std::max(mx, row[j]);
     double sum = 0.0;
-    for (std::size_t j = 0; j < x.cols(); ++j) {
-      y(i, j) = std::exp(x(i, j) - mx(i, 0));
-      sum += y(i, j);
+    for (std::size_t j = 0; j < s.cols(); ++j) {
+      row[j] = std::exp(row[j] - mx);
+      sum += row[j];
     }
-    for (std::size_t j = 0; j < x.cols(); ++j) y(i, j) /= sum;
+    for (std::size_t j = 0; j < s.cols(); ++j) row[j] /= sum;
   }
-  return y;
 }
 
 /// Backward through a row softmax: dx = a .* (dy - rowsum(dy .* a)).
@@ -81,27 +85,36 @@ tensor::Matrix MultiHeadSelfAttention::attend(const tensor::Matrix& x,
                                               tensor::Matrix* concat_out,
                                               bool use_packed) const {
   ONESA_CHECK_SHAPE(x.cols() == d_model_, "attention d_model " << x.cols());
+  const std::size_t seq = x.rows();
   const double scale = 1.0 / std::sqrt(static_cast<double>(d_head_));
 
   const tensor::Matrix q = project(x, wq_, packed_q_, use_packed);
   const tensor::Matrix k = project(x, wk_, packed_k_, use_packed);
   const tensor::Matrix v = project(x, wv_, packed_v_, use_packed);
+  // K transposed once for every head: head h's keys are the contiguous
+  // d_head x seq block of rows [h*d_head, (h+1)*d_head).
+  const tensor::Matrix kt = tensor::transpose(k);
 
-  tensor::Matrix concat(x.rows(), d_model_);
+  // Each head reads its Q/K/V columns in place and writes its context
+  // straight into its concat columns; gemm_strided forms every element as
+  // gemm() would on the sliced copies, so the bits are those of the
+  // slice/matmul/scale/softmax/paste composition.
+  tensor::Matrix scores(seq, seq, tensor::kUninitialized);  // reused by every head
+  tensor::Matrix concat(seq, d_model_, tensor::kUninitialized);
   for (std::size_t h = 0; h < heads_; ++h) {
-    const tensor::Matrix qh = slice_cols(q, h, d_head_);
-    const tensor::Matrix kh = slice_cols(k, h, d_head_);
-    const tensor::Matrix vh = slice_cols(v, h, d_head_);
-    const tensor::Matrix scores =
-        tensor::scale(tensor::matmul(qh, tensor::transpose(kh)), scale);
-    tensor::Matrix attn = softmax_rows_ref(scores);
-    paste_cols(concat, tensor::matmul(attn, vh), h, d_head_);
+    const std::size_t col = h * d_head_;
+    tensor::kernels::gemm_strided(q.data().data() + col, d_model_,
+                                  kt.data().data() + col * seq, seq, scores.data().data(),
+                                  seq, seq, d_head_, seq);
+    softmax_rows_scaled(scores, scale);
+    tensor::kernels::gemm_strided(scores.data().data(), seq, v.data().data() + col, d_model_,
+                                  concat.data().data() + col, d_model_, seq, seq, d_head_);
     if (cache_out != nullptr) {
       HeadCache& cache = (*cache_out)[h];
-      cache.q = qh;
-      cache.k = kh;
-      cache.v = vh;
-      cache.attn = std::move(attn);
+      cache.q = slice_cols(q, h, d_head_);
+      cache.k = slice_cols(k, h, d_head_);
+      cache.v = slice_cols(v, h, d_head_);
+      cache.attn = scores;
     }
   }
   tensor::Matrix out = project(concat, wo_, packed_o_, use_packed);

@@ -20,17 +20,33 @@ double Embedding::positional_term(std::size_t pos, std::size_t dim) const {
   return 0.25 * (dim % 2 == 0 ? std::sin(angle) : std::cos(angle));
 }
 
+std::shared_ptr<const std::vector<double>> Embedding::positional_rows(
+    std::size_t seq) const {
+  std::lock_guard<std::mutex> lock(positions_mutex_);
+  if (positions_ == nullptr || positions_->size() < seq * d_model_) {
+    auto rows = std::make_shared<std::vector<double>>(seq * d_model_);
+    for (std::size_t p = 0; p < seq; ++p)
+      for (std::size_t j = 0; j < d_model_; ++j)
+        (*rows)[p * d_model_ + j] = positional_term(p, j);
+    positions_ = std::move(rows);
+  }
+  return positions_;
+}
+
 tensor::Matrix Embedding::gather(const tensor::Matrix& ids,
                                  std::vector<std::size_t>* ids_out) const {
   ONESA_CHECK_SHAPE(ids.rows() == 1, "embedding expects a 1 x seq id row");
   const std::size_t seq = ids.cols();
-  tensor::Matrix out(seq, d_model_);
+  const std::shared_ptr<const std::vector<double>> positions =
+      positional_ ? positional_rows(seq) : nullptr;
+  tensor::Matrix out(seq, d_model_, tensor::kUninitialized);
   for (std::size_t p = 0; p < seq; ++p) {
     const auto id = static_cast<std::size_t>(ids(0, p));
     ONESA_CHECK(id < vocab_, "token id " << id << " out of vocab " << vocab_);
     if (ids_out != nullptr) (*ids_out)[p] = id;
+    const double* pos = positions ? positions->data() + p * d_model_ : nullptr;
     for (std::size_t j = 0; j < d_model_; ++j) {
-      out(p, j) = table_.value(id, j) + (positional_ ? positional_term(p, j) : 0.0);
+      out(p, j) = table_.value(id, j) + (pos != nullptr ? pos[j] : 0.0);
     }
   }
   return out;
@@ -57,13 +73,15 @@ tensor::FixMatrix Embedding::forward_accel(OneSaAccelerator&,
                                            const tensor::FixMatrix& ids) {
   ONESA_CHECK_SHAPE(ids.rows() == 1, "embedding expects a 1 x seq id row");
   const std::size_t seq = ids.cols();
+  const std::shared_ptr<const std::vector<double>> positions =
+      positional_ ? positional_rows(seq) : nullptr;
   tensor::FixMatrix out(seq, d_model_);
   for (std::size_t p = 0; p < seq; ++p) {
     const auto id = static_cast<std::size_t>(ids(0, p).to_double());
     ONESA_CHECK(id < vocab_, "token id " << id << " out of vocab " << vocab_);
+    const double* pos = positions ? positions->data() + p * d_model_ : nullptr;
     for (std::size_t j = 0; j < d_model_; ++j) {
-      out(p, j) = fixed::Fix16::from_double(
-          table_.value(id, j) + (positional_ ? positional_term(p, j) : 0.0));
+      out(p, j) = fixed::Fix16::from_double(table_.value(id, j) + (pos != nullptr ? pos[j] : 0.0));
     }
   }
   return out;

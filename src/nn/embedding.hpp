@@ -2,13 +2,18 @@
 // sequence mean-pool head used by the transformer classifier.
 #pragma once
 
+#include <memory>
+#include <mutex>
+#include <vector>
+
 #include "nn/layer.hpp"
 
 namespace onesa::nn {
 
 /// Maps a row of token ids (1 x seq_len, ids stored as doubles) to the
 /// (seq_len x d_model) embedded sequence. The lookup itself is a DMA gather
-/// (no array cycles); positional encodings are added on the fly.
+/// (no array cycles); the positional encodings it adds are computed once per
+/// position and reused (see positional_rows).
 class Embedding : public Layer {
  public:
   Embedding(std::size_t vocab, std::size_t d_model, Rng& rng,
@@ -25,8 +30,18 @@ class Embedding : public Layer {
                                   const tensor::FixMatrix& ids) override;
   void count_ops(OpCensus& census, std::size_t batch) const override;
 
- private:
+  /// The sinusoidal encoding of position `pos`, dimension `dim`, computed on
+  /// the spot. gather adds exactly these values, read from positional_rows.
   double positional_term(std::size_t pos, std::size_t dim) const;
+
+ private:
+  /// At least `seq` rows of positional terms (row-major, d_model each).
+  /// Built on first use and rebuilt, to exactly `seq` rows, only when a
+  /// longer sequence arrives, so memory stays bounded by the longest
+  /// sequence seen. The mutex guards only the pointer: a published table
+  /// is immutable, and concurrent infer() calls keep theirs alive through
+  /// the shared_ptr across a regrow (same scheme as PackedWeightCache).
+  std::shared_ptr<const std::vector<double>> positional_rows(std::size_t seq) const;
   /// Shared forward/infer gather; records the ids for backward only when
   /// requested (ids_out sized to the sequence by the caller).
   tensor::Matrix gather(const tensor::Matrix& ids,
@@ -37,6 +52,8 @@ class Embedding : public Layer {
   bool positional_;
   Param table_;  // vocab x d_model
   std::vector<std::size_t> cached_ids_;
+  mutable std::mutex positions_mutex_;
+  mutable std::shared_ptr<const std::vector<double>> positions_;
 };
 
 /// Mean over sequence positions: (seq x d) -> (1 x d). On the accelerator

@@ -1,8 +1,12 @@
-// Version-keyed packed-weight cache shared by every matmul-bearing layer.
+// Version-keyed packed-weight cache shared by every layer that multiplies by
+// a weight matrix.
 //
 // A layer that multiplies activations against a weight Param on its
 // inference path (Linear, Conv2d's im2col GEMM, the attention projections)
-// owns one PackedWeightCache per weight matrix. get() returns the weight in
+// owns one PackedWeightCache per weight matrix. Products of two activations
+// — attention's per-head scores and context — have no weight to cache; they
+// read their operands in place through kernels::gemm_strided and pack
+// nothing either. get() returns the weight in
 // the kernel layer's PackedB form, rebuilding it only when the Param's
 // version has moved (every optimizer step bumps it), so frozen serving
 // models pack each weight exactly once per fleet-shared registry entry and

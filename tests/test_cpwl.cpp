@@ -1,12 +1,16 @@
 // Tests for the CPWL approximation engine — the core mechanism of ONE-SA.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <random>
 #include <span>
 #include <vector>
 
 #include "cpwl/approx_error.hpp"
+#include "cpwl/gelu.hpp"
 #include "cpwl/segment_table.hpp"
 
 namespace onesa::cpwl {
@@ -241,6 +245,140 @@ INSTANTIATE_TEST_SUITE_P(Catalog, AllFunctionsAtDefault,
                          [](const auto& info) {
                            return std::string(function_name(info.param));
                          });
+
+// ------------------------------------------------------------- exact GELU
+
+/// The GELU every table and activation evaluated before gelu_exact.
+double gelu_via_std_erf(double x) { return 0.5 * x * (1.0 + std::erf(x / std::sqrt(2.0))); }
+
+bool same_bits_or_both_nan(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b) ||
+         (std::isnan(a) && std::isnan(b));
+}
+
+TEST(GeluExact, WithinFourUlpsOfStdErfGeluOverAMillionPoints) {
+  // |diff| <= 4 * 2^-52 * max(1, |x|) on an even grid over [-10, 10]. Off the
+  // exp-based erf tail the two are the same arithmetic, so nearly every
+  // point is bit-identical; the count bound catches an erf that drifts.
+  constexpr std::size_t kPoints = 1'000'001;
+  std::vector<double> x(kPoints), y(kPoints);
+  for (std::size_t i = 0; i < kPoints; ++i)
+    x[i] = -10.0 + 20.0 * static_cast<double>(i) / static_cast<double>(kPoints - 1);
+  gelu_exact(x, y);
+  const double eps = std::numeric_limits<double>::epsilon();  // 2^-52
+  std::size_t differing = 0;
+  for (std::size_t i = 0; i < kPoints; ++i) {
+    const double want = gelu_via_std_erf(x[i]);
+    ASSERT_LE(std::abs(y[i] - want), 4.0 * eps * std::max(1.0, std::abs(x[i]))) << x[i];
+    differing += y[i] != want;
+  }
+  EXPECT_LT(differing, kPoints / 10000) << differing << " points differ in the last bits";
+}
+
+TEST(GeluExact, SpecialValuesMatchStdErfGelu) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double values[] = {0.0,
+                           -0.0,
+                           std::numeric_limits<double>::denorm_min(),
+                           -std::numeric_limits<double>::denorm_min(),
+                           0x1p-1030,
+                           -0x1p-1030,
+                           std::numeric_limits<double>::min(),
+                           -std::numeric_limits<double>::min(),
+                           1e-20,
+                           -1e-20,
+                           8.0,
+                           -8.0,
+                           inf,
+                           -inf,  // -inf * Phi(-inf) = -inf * 0: NaN, as before
+                           std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::max(),
+                           -std::numeric_limits<double>::max()};
+  std::vector<double> y(std::size(values));
+  gelu_exact(values, y);
+  for (std::size_t i = 0; i < std::size(values); ++i) {
+    const double want = gelu_via_std_erf(values[i]);
+    EXPECT_TRUE(same_bits_or_both_nan(y[i], want)) << values[i] << ": " << y[i] << " vs " << want;
+    EXPECT_TRUE(same_bits_or_both_nan(gelu_exact(values[i]), want)) << values[i];
+  }
+}
+
+TEST(GeluExact, EveryTierGivesIdenticalBits) {
+  // Every erf interval and both interval boundaries on each side, random
+  // normal draws, and a length that leaves a ragged remainder for each
+  // vector width.
+  std::vector<double> x;
+  for (double v = -12.0; v <= 12.0; v += 0.00731) x.push_back(v);
+  for (double edge : {0x1p-28, 0.84375, 1.25, 0x1.6db6ep+1, 6.0}) {
+    for (double e : {std::nextafter(edge, 0.0), edge, std::nextafter(edge, 10.0)}) {
+      x.push_back(e * std::sqrt(2.0));
+      x.push_back(-e * std::sqrt(2.0));
+    }
+  }
+  std::mt19937_64 gen(17);
+  std::normal_distribution<double> normal(0.0, 2.0);
+  for (int i = 0; i < 20000; ++i) x.push_back(normal(gen));
+  x.push_back(std::numeric_limits<double>::infinity());
+  x.push_back(std::numeric_limits<double>::quiet_NaN());
+  x.push_back(-0.0);
+  if (x.size() % 8 == 0) x.push_back(0.5);
+
+  std::vector<double> portable(x.size());
+  detail::gelu_exact_tier(detail::GeluTier::kPortable, x, portable);
+  std::vector<double> dispatched(x.size());
+  gelu_exact(x, dispatched);
+  for (auto tier : {detail::GeluTier::kAvx512, detail::GeluTier::kAvx2}) {
+    if (!detail::gelu_tier_available(tier)) continue;
+    std::vector<double> y(x.size());
+    detail::gelu_exact_tier(tier, x, y);
+    for (std::size_t i = 0; i < x.size(); ++i)
+      ASSERT_TRUE(same_bits_or_both_nan(y[i], portable[i]))
+          << "tier " << static_cast<int>(tier) << " x=" << x[i];
+  }
+  for (std::size_t i = 0; i < x.size(); ++i)
+    ASSERT_TRUE(same_bits_or_both_nan(dispatched[i], portable[i])) << x[i];
+
+  // Spans shorter than, equal to and just past a vector or a 256-element
+  // compaction chunk, and in place.
+  for (std::size_t len : {0u, 1u, 5u, 8u, 13u, 256u, 257u, 700u}) {
+    std::vector<double> y(x.begin(), x.begin() + len);
+    gelu_exact(y, y);
+    for (std::size_t i = 0; i < len; ++i)
+      ASSERT_TRUE(same_bits_or_both_nan(y[i], portable[i])) << "length " << len << " at " << i;
+  }
+}
+
+TEST(GeluExact, CpwlTablesMatchTheStdErfBuildBitForBit) {
+  // Every GELU table configuration the tests and benches build: the
+  // granularity sweeps (Table III, the L3 ablation, the tuner's halvings),
+  // the default, doubled (capping ablation) and custom domains, and both
+  // fixed-point formats. A table built on gelu_exact must not move a bit of
+  // its double or INT16 parameters.
+  const Domain domains[] = {default_domain(FunctionKind::kGelu), {-16.0, 16.0}, {0.0, 4.0}};
+  const double granularities[] = {2.0,   1.0,    0.75,    0.5,      0.25,      0.125, 0.1,
+                                  0.0625, 0.03125, 0.015625, 0.0078125};
+  for (const Domain& domain : domains) {
+    for (double g : granularities) {
+      for (int frac_bits : {8, 9}) {
+        SegmentTableConfig cfg;
+        cfg.granularity = g;
+        cfg.domain = domain;
+        cfg.frac_bits = frac_bits;
+        const auto table = SegmentTable::build(FunctionKind::kGelu, cfg);
+        const auto old = SegmentTable::build_custom(gelu_via_std_erf, "gelu", cfg);
+        ASSERT_EQ(table.segment_count(), old.segment_count());
+        for (int s = table.min_segment(); s <= table.max_segment(); ++s) {
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(table.k(s)), std::bit_cast<std::uint64_t>(old.k(s)))
+              << "g=" << g << " domain=[" << domain.lo << ", " << domain.hi << "] s=" << s;
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(table.b(s)), std::bit_cast<std::uint64_t>(old.b(s)))
+              << "g=" << g << " domain=[" << domain.lo << ", " << domain.hi << "] s=" << s;
+          ASSERT_EQ(table.k_fixed(s).raw(), old.k_fixed(s).raw());
+          ASSERT_EQ(table.b_fixed(s).raw(), old.b_fixed(s).raw());
+        }
+      }
+    }
+  }
+}
 
 }  // namespace
 }  // namespace onesa::cpwl

@@ -2,8 +2,12 @@
 // (INT16 + CPWL) inference fidelity, and op census accounting.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <thread>
 #include <utility>
+#include <vector>
 
 #include "nn/activations.hpp"
 #include "nn/attention.hpp"
@@ -15,6 +19,7 @@
 #include "nn/norm.hpp"
 #include "nn/sequential.hpp"
 #include "train/optimizer.hpp"
+#include "tensor/kernels/gemm.hpp"
 #include "tensor/kernels/pack.hpp"
 #include "tensor/ops.hpp"
 
@@ -213,6 +218,60 @@ TEST(EmbeddingLayer, OutOfVocabThrows) {
   EXPECT_THROW(layer.forward(Matrix{{9.0}}), Error);
 }
 
+TEST(EmbeddingLayer, CachedPositionsMatchOnTheFlyTermsBitForBit) {
+  // The positional rows are computed once and grown on demand; whatever the
+  // order of lengths, each served row must carry exactly table + the
+  // on-the-fly positional_term.
+  Rng rng(48);
+  Embedding layer(50, 24, rng);
+  const Matrix table = layer.params()[0]->value;
+  for (std::size_t seq : {1u, 32u, 45u, 3u, 32u}) {
+    Matrix ids(1, seq);
+    for (std::size_t p = 0; p < seq; ++p) ids(0, p) = static_cast<double>((p * 7 + 3) % 50);
+    const Matrix y = layer.infer(ids);
+    ASSERT_EQ(y.rows(), seq);
+    for (std::size_t p = 0; p < seq; ++p) {
+      const auto id = static_cast<std::size_t>(ids(0, p));
+      for (std::size_t j = 0; j < 24; ++j)
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(y(p, j)),
+                  std::bit_cast<std::uint64_t>(table(id, j) + layer.positional_term(p, j)))
+            << "seq " << seq << " pos " << p << " dim " << j;
+    }
+    EXPECT_EQ(layer.forward(ids), y);  // training gather reads the same rows
+  }
+}
+
+TEST(EmbeddingLayer, ConcurrentInferOfDifferentLengthsSharesOnePositionalTable) {
+  // Four threads grow the shared positional rows in racing order; every
+  // result must still equal the single-threaded on-the-fly expectation.
+  Rng rng(49);
+  Embedding layer(40, 16, rng);
+  const Matrix table = layer.params()[0]->value;
+  const std::size_t lengths[] = {5, 17, 33, 64};
+  std::vector<Matrix> ids, want;
+  for (std::size_t seq : lengths) {
+    Matrix row(1, seq);
+    Matrix expect(seq, 16);
+    for (std::size_t p = 0; p < seq; ++p) {
+      row(0, p) = static_cast<double>((p * 11 + seq) % 40);
+      for (std::size_t j = 0; j < 16; ++j)
+        expect(p, j) = table(static_cast<std::size_t>(row(0, p)), j) + layer.positional_term(p, j);
+    }
+    ids.push_back(row);
+    want.push_back(expect);
+  }
+  std::vector<int> mismatches(std::size(lengths), 0);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < std::size(lengths); ++t) {
+    threads.emplace_back([&, t] {
+      for (int rep = 0; rep < 50; ++rep) mismatches[t] += !(layer.infer(ids[t]) == want[t]);
+    });
+  }
+  for (auto& th : threads) th.join();
+  for (std::size_t t = 0; t < std::size(lengths); ++t)
+    EXPECT_EQ(mismatches[t], 0) << "length " << lengths[t];
+}
+
 TEST(OpCensus, CnnGemmDominates) {
   // Fig. 1a: GEMM is by far the largest share in a CNN.
   Rng rng(16);
@@ -341,8 +400,8 @@ TEST(InferPath, SequentialFusesLinearActivationPairsBitExactly) {
 TEST(InferPath, ConvAndAttentionServeFromPrepackedWeights) {
   // Conv2d's im2col GEMM and the four attention projections route through
   // cached PackedB like Linear: prepack() builds every pack, after which
-  // infer() packs NOTHING — the registry pre-pack covers every matmul a
-  // served model executes.
+  // infer() packs NOTHING. (These 4-wide heads take the reference order;
+  // AttentionAtBlockedPathWidthsPacksNothing covers blocked-path heads.)
   if (!tensor::kernels::pack_counter_enabled()) {
     GTEST_SKIP() << "pack counter compiled out (NDEBUG build)";
   }
@@ -378,6 +437,78 @@ TEST(InferPath, ConvAndAttentionServeFromPrepackedWeights) {
   sgd.step();
   EXPECT_EQ(conv.infer(image), conv.forward(image));
   EXPECT_EQ(attention.infer(seq), attention.forward(seq));
+}
+
+/// The per-head attention composition served before heads read Q/K/V in
+/// place: column slices, an explicit K^T, matmul, scale, a fresh-matrix row
+/// softmax and a paste into the concat, each through tensor::matmul.
+Matrix attention_by_slices(MultiHeadSelfAttention& layer, const Matrix& x) {
+  const std::vector<Param*> w = layer.params();  // Wq, Wk, Wv, Wo
+  const std::size_t d = layer.d_model() / layer.num_heads();
+  const Matrix q = tensor::matmul(x, w[0]->value);
+  const Matrix k = tensor::matmul(x, w[1]->value);
+  const Matrix v = tensor::matmul(x, w[2]->value);
+  auto slice = [&](const Matrix& m, std::size_t h) {
+    Matrix out(m.rows(), d);
+    for (std::size_t i = 0; i < m.rows(); ++i)
+      for (std::size_t j = 0; j < d; ++j) out(i, j) = m(i, h * d + j);
+    return out;
+  };
+  Matrix concat(x.rows(), layer.d_model());
+  for (std::size_t h = 0; h < layer.num_heads(); ++h) {
+    const Matrix scores = tensor::scale(tensor::matmul(slice(q, h), tensor::transpose(slice(k, h))),
+                                        1.0 / std::sqrt(static_cast<double>(d)));
+    const Matrix mx = tensor::row_max(scores);
+    Matrix attn(scores.rows(), scores.cols());
+    for (std::size_t i = 0; i < scores.rows(); ++i) {
+      double sum = 0.0;
+      for (std::size_t j = 0; j < scores.cols(); ++j) {
+        attn(i, j) = std::exp(scores(i, j) - mx(i, 0));
+        sum += attn(i, j);
+      }
+      for (std::size_t j = 0; j < scores.cols(); ++j) attn(i, j) /= sum;
+    }
+    const Matrix head = tensor::matmul(attn, slice(v, h));
+    for (std::size_t i = 0; i < head.rows(); ++i)
+      for (std::size_t j = 0; j < d; ++j) concat(i, h * d + j) = head(i, j);
+  }
+  return tensor::matmul(concat, w[3]->value);
+}
+
+TEST(InferPath, AttentionHeadsMatchTheSliceComposition) {
+  // The in-place head loop must reproduce the slice/transpose/matmul/scale/
+  // softmax/paste composition bit for bit: on the blocked-path shapes (BERT
+  // base, a two-head 128-wide block, a sequence longer than one 256-deep
+  // k-panel) and on tiny heads that take the reference order, in whichever
+  // kernel mode the suite runs.
+  struct Case {
+    std::size_t d_model, heads, seq;
+  };
+  for (const Case& c : {Case{768, 12, 32}, Case{128, 2, 16}, Case{64, 2, 300}, Case{8, 2, 4}}) {
+    Rng rng(50 + c.seq);
+    MultiHeadSelfAttention layer(c.d_model, c.heads, rng);
+    const Matrix x = tensor::random_uniform(c.seq, c.d_model, rng, -1.0, 1.0);
+    const Matrix want = attention_by_slices(layer, x);
+    EXPECT_EQ(layer.infer(x), want) << c.d_model << "/" << c.heads << "/" << c.seq;
+    EXPECT_EQ(layer.forward(x), want) << c.d_model << "/" << c.heads << "/" << c.seq;
+  }
+}
+
+TEST(InferPath, AttentionAtBlockedPathWidthsPacksNothing) {
+  // d_head 64 x seq 16 puts both per-head products on the blocked GEMM path
+  // (k*n = 1024 > 64), where gemm() would pack B on every request; the head
+  // loop reads Q/K/V in place instead, so a prepacked block packs nothing.
+  if (!tensor::kernels::pack_counter_enabled()) {
+    GTEST_SKIP() << "pack counter compiled out (NDEBUG build)";
+  }
+  Rng rng(51);
+  MultiHeadSelfAttention attention(128, 2, rng);
+  attention.prepack();
+  const Matrix seq = tensor::random_uniform(16, 128, rng, -1.0, 1.0);
+  tensor::kernels::reset_pack_panel_count();
+  const Matrix served = attention.infer(seq);
+  EXPECT_EQ(tensor::kernels::pack_panel_count(), 0u);
+  EXPECT_EQ(served, attention.forward(seq));
 }
 
 TEST(InferPath, InferNeverTouchesTrainingState) {
