@@ -458,60 +458,47 @@ __attribute__((target("avx2,fma"))) void gelu_span_avx2(const double* x, double*
 
 using SpanFn = void (*)(const double*, double*, std::size_t, const ExpTable&);
 
+/// The spelling of `tier`, or nullptr when this CPU (or build) cannot run it.
 SpanFn tier_fn(detail::GeluTier tier) {
-  switch (tier) {
 #if defined(__x86_64__)
-    case detail::GeluTier::kAvx512: return gelu_span_avx512;
-    case detail::GeluTier::kAvx2: return gelu_span_avx2;
-#else
-    case detail::GeluTier::kAvx512:
-    case detail::GeluTier::kAvx2: return nullptr;
-#endif
-    case detail::GeluTier::kPortable: return gelu_span_portable;
+  if (tier == detail::GeluTier::kAvx512 && __builtin_cpu_supports("avx512f")) {
+    return gelu_span_avx512;
   }
-  return nullptr;
+  if (tier == detail::GeluTier::kAvx2 && __builtin_cpu_supports("avx2") &&
+      __builtin_cpu_supports("fma")) {
+    return gelu_span_avx2;
+  }
+#endif
+  return tier == detail::GeluTier::kPortable ? gelu_span_portable : nullptr;
 }
 
-detail::GeluTier select_tier() {
-  for (auto tier : {detail::GeluTier::kAvx512, detail::GeluTier::kAvx2}) {
-    if (detail::gelu_tier_available(tier)) return tier;
-  }
-  return detail::GeluTier::kPortable;
+void run_span(SpanFn fn, std::span<const double> x, std::span<double> y) {
+  ONESA_CHECK(x.size() == y.size(),
+              "gelu_exact spans differ: " << x.size() << " vs " << y.size());
+  fn(x.data(), y.data(), x.size(), exp_table());
 }
 
 }  // namespace
 
 namespace detail {
 
-bool gelu_tier_available(GeluTier tier) {
-  switch (tier) {
-#if defined(__x86_64__)
-    case GeluTier::kAvx512: return __builtin_cpu_supports("avx512f");
-    case GeluTier::kAvx2:
-      return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
-#else
-    case GeluTier::kAvx512:
-    case GeluTier::kAvx2: return false;
-#endif
-    case GeluTier::kPortable: return true;
-  }
-  return false;
-}
+bool gelu_tier_available(GeluTier tier) { return tier_fn(tier) != nullptr; }
 
 void gelu_exact_tier(GeluTier tier, std::span<const double> x, std::span<double> y) {
-  ONESA_CHECK(x.size() == y.size(),
-              "gelu_exact spans differ: " << x.size() << " vs " << y.size());
   ONESA_CHECK(gelu_tier_available(tier), "gelu_exact tier unavailable on this CPU");
-  tier_fn(tier)(x.data(), y.data(), x.size(), exp_table());
+  run_span(tier_fn(tier), x, y);
 }
 
 }  // namespace detail
 
 void gelu_exact(std::span<const double> x, std::span<double> y) {
-  ONESA_CHECK(x.size() == y.size(),
-              "gelu_exact spans differ: " << x.size() << " vs " << y.size());
-  static const SpanFn fn = tier_fn(select_tier());
-  fn(x.data(), y.data(), x.size(), exp_table());
+  static const SpanFn fn = [] {
+    for (auto tier : {detail::GeluTier::kAvx512, detail::GeluTier::kAvx2}) {
+      if (const SpanFn f = tier_fn(tier)) return f;
+    }
+    return gelu_span_portable;
+  }();
+  run_span(fn, x, y);
 }
 
 double gelu_exact(double x) { return gelu_portable(x, exp_table()); }

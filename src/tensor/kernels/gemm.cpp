@@ -812,15 +812,8 @@ void gemm(const double* a, const double* b, double* c, std::size_t m, std::size_
 
 void gemm_strided(const double* a, std::size_t lda, const double* b, std::size_t ldb,
                   double* c, std::size_t ldc, std::size_t m, std::size_t k, std::size_t n) {
-  if (n == 0) return;
-  const bool reference_order = deterministic() || k * n <= kTinyRowMacs;
-  for (std::size_t i = 0; i < m; ++i) {
-    if (reference_order) {
-      reference_row(a + i * lda, b, ldb, c + i * ldc, k, n);
-    } else {
-      g_micro.row(a + i * lda, b, ldb, c + i * ldc, k, n);
-    }
-  }
+  const RowKernelFn row = deterministic() || k * n <= kTinyRowMacs ? reference_row : g_micro.row;
+  for (std::size_t i = 0; i < m; ++i) row(a + i * lda, b, ldb, c + i * ldc, k, n);
 }
 
 void gemm_packed(const double* a, const PackedB& b, double* c, std::size_t m,
