@@ -89,8 +89,9 @@ constexpr Poly kTailDen = {
 // exp(x) = 2^(k/N) * exp(r), x = k ln2/N + r, |r| <= ln2/2N, N = 128: the
 // table holds 2^(i/N) split into a double and its relative rounding tail,
 // and exp(r) - 1 is a degree-5 Taylor polynomial (truncation < 0.01 ulp at
-// |r| <= ln2/256). Only ever fed the tail intervals' arguments, which are
-// finite and in [-37, 0] (the index mask would keep any gather in bounds).
+// |r| <= ln2/256). Only the tail intervals' arguments, finite and in
+// [-37, 0], are kept; a vector's other lanes may carry any value, inf or
+// NaN, and the index mask keeps their table gathers in bounds.
 constexpr int kExpBits = 7;
 constexpr std::size_t kExpN = std::size_t{1} << kExpBits;
 constexpr double kInvLn2N = 0x1.71547652b82fep+0 * kExpN;
@@ -133,15 +134,6 @@ const ExpTable& exp_table() {
   }();
   return table;
 }
-
-// The vector spellings run a span in chunks of kChunk elements, two passes
-// each: every vector through the near formulas, then the chunk's tail lanes
-// (|z| in [1.25, 6)) compacted into whole vectors for the tail formulas, so
-// the costly tail (two exps, three divides) runs once per tail element
-// rather than once per vector that holds one. kTailPad fills the last
-// compacted vector with a tail-interval input whose results are dropped.
-constexpr std::size_t kChunk = 256;
-constexpr double kTailPad = 2.5;
 
 // -------------------------------------------------------- portable spelling
 
@@ -256,80 +248,56 @@ __attribute__((target("avx512f"))) inline __m512d with_sign_avx512(__m512d v, __
   return _mm512_castsi512_pd(_mm512_or_si512(_mm512_castpd_si512(v), _mm512_castpd_si512(sign)));
 }
 
-/// GELU of the lanes off the tail intervals (|z| < 1.25, |z| >= 6, inf,
-/// NaN). `tail` returns the lanes with |z| in [1.25, 6), whose result here
-/// is a placeholder for gelu_tail_lanes_avx512 to replace.
-__attribute__((target("avx512f"))) __m512d gelu_near_lanes_avx512(__m512d x, __mmask8* tail) {
+/// GELU of eight lanes, each on its own erf interval. The near and tail
+/// rationals share one divide (each lane divides its own interval's
+/// numerator and denominator), and the tail's reciprocal square and two
+/// exps run only for a vector that holds a tail lane (|z| in [1.25, 6)).
+__attribute__((target("avx512f"))) __m512d gelu_lanes_avx512(__m512d x, const ExpTable& t) {
   const __m512d one = _mm512_set1_pd(1.0);
   const __m512d z = _mm512_div_pd(x, _mm512_set1_pd(kSqrt2));
   const __m512d az = _mm512_abs_pd(z);
   const __m512d sign = _mm512_castsi512_pd(
       _mm512_andnot_si512(_mm512_castpd_si512(az), _mm512_castpd_si512(z)));
   const __mmask8 near = _mm512_cmp_pd_mask(az, _mm512_set1_pd(kNear), _CMP_LT_OQ);
-  *tail = _mm512_cmp_pd_mask(az, _mm512_set1_pd(kOne), _CMP_LT_OQ) & static_cast<__mmask8>(~near);
+  const __mmask8 tail =
+      _mm512_cmp_pd_mask(az, _mm512_set1_pd(kOne), _CMP_LT_OQ) & static_cast<__mmask8>(~near);
+  const __mmask8 mid = _mm512_cmp_pd_mask(az, _mm512_set1_pd(kSmall), _CMP_GE_OQ);
+  const __m512d w = _mm512_mask_blend_pd(mid, _mm512_mul_pd(z, z), _mm512_sub_pd(az, one));
+  __m512d num = poly_avx512(w, kNearNum, mid);
+  __m512d den = poly_avx512(w, kNearDen, mid);
+  if (tail != 0) {
+    const __mmask8 far = _mm512_cmp_pd_mask(az, _mm512_set1_pd(kTailSplit), _CMP_GE_OQ);
+    const __m512d s = _mm512_div_pd(one, _mm512_mul_pd(az, az));
+    num = _mm512_mask_blend_pd(tail, num, poly_avx512(s, kTailNum, far));
+    den = _mm512_mask_blend_pd(tail, den, poly_avx512(s, kTailDen, far));
+  }
+  const __m512d ratio = _mm512_div_pd(num, den);
+
   // |z| >= 6 and +-inf give +-1; a NaN lane stays NaN through 0.5 * x.
   __m512d erf = with_sign_avx512(one, sign);
-  if (near != 0) {
-    const __mmask8 mid = _mm512_cmp_pd_mask(az, _mm512_set1_pd(kSmall), _CMP_GE_OQ);
-    const __m512d w = _mm512_mask_blend_pd(mid, _mm512_mul_pd(z, z), _mm512_sub_pd(az, one));
-    __m512d y = _mm512_div_pd(poly_avx512(w, kNearNum, mid), poly_avx512(w, kNearDen, mid));
-    const __mmask8 tiny = _mm512_cmp_pd_mask(az, _mm512_set1_pd(kTiny), _CMP_LT_OQ);
-    y = _mm512_mask_blend_pd(tiny, y, _mm512_set1_pd(kEfx));
-    const __m512d small_erf = _mm512_add_pd(z, _mm512_mul_pd(z, y));
-    const __m512d mid_erf = with_sign_avx512(_mm512_add_pd(_mm512_set1_pd(kErx), y), sign);
-    erf = _mm512_mask_blend_pd(near, erf, _mm512_mask_blend_pd(mid, small_erf, mid_erf));
+  const __mmask8 tiny = _mm512_cmp_pd_mask(az, _mm512_set1_pd(kTiny), _CMP_LT_OQ);
+  const __m512d y = _mm512_mask_blend_pd(tiny, ratio, _mm512_set1_pd(kEfx));
+  const __m512d small_erf = _mm512_add_pd(z, _mm512_mul_pd(z, y));
+  const __m512d mid_erf = with_sign_avx512(_mm512_add_pd(_mm512_set1_pd(kErx), y), sign);
+  erf = _mm512_mask_blend_pd(near, erf, _mm512_mask_blend_pd(mid, small_erf, mid_erf));
+  if (tail != 0) {
+    const __m512d hz = _mm512_castsi512_pd(_mm512_and_si512(
+        _mm512_castpd_si512(az), _mm512_set1_epi64(static_cast<long long>(0xFFFFFFFF00000000ull))));
+    const __m512d e1 =
+        exp_avx512(_mm512_sub_pd(_mm512_set1_pd(-0.5625), _mm512_mul_pd(hz, hz)), t);
+    const __m512d e2 = exp_avx512(
+        _mm512_add_pd(_mm512_mul_pd(_mm512_sub_pd(hz, az), _mm512_add_pd(hz, az)), ratio), t);
+    const __m512d tail_erf =
+        with_sign_avx512(_mm512_sub_pd(one, _mm512_div_pd(_mm512_mul_pd(e1, e2), az)), sign);
+    erf = _mm512_mask_blend_pd(tail, erf, tail_erf);
   }
-  return _mm512_mul_pd(_mm512_mul_pd(_mm512_set1_pd(0.5), x), _mm512_add_pd(one, erf));
-}
-
-/// GELU of lanes that all have |z| in [1.25, 6).
-__attribute__((target("avx512f"))) __m512d gelu_tail_lanes_avx512(__m512d x, const ExpTable& t) {
-  const __m512d one = _mm512_set1_pd(1.0);
-  const __m512d z = _mm512_div_pd(x, _mm512_set1_pd(kSqrt2));
-  const __m512d az = _mm512_abs_pd(z);
-  const __m512d sign = _mm512_castsi512_pd(
-      _mm512_andnot_si512(_mm512_castpd_si512(az), _mm512_castpd_si512(z)));
-  const __mmask8 far = _mm512_cmp_pd_mask(az, _mm512_set1_pd(kTailSplit), _CMP_GE_OQ);
-  const __m512d s = _mm512_div_pd(one, _mm512_mul_pd(az, az));
-  const __m512d ratio =
-      _mm512_div_pd(poly_avx512(s, kTailNum, far), poly_avx512(s, kTailDen, far));
-  const __m512d hz = _mm512_castsi512_pd(_mm512_and_si512(
-      _mm512_castpd_si512(az), _mm512_set1_epi64(static_cast<long long>(0xFFFFFFFF00000000ull))));
-  const __m512d e1 =
-      exp_avx512(_mm512_sub_pd(_mm512_set1_pd(-0.5625), _mm512_mul_pd(hz, hz)), t);
-  const __m512d e2 = exp_avx512(
-      _mm512_add_pd(_mm512_mul_pd(_mm512_sub_pd(hz, az), _mm512_add_pd(hz, az)), ratio), t);
-  const __m512d erf =
-      with_sign_avx512(_mm512_sub_pd(one, _mm512_div_pd(_mm512_mul_pd(e1, e2), az)), sign);
   return _mm512_mul_pd(_mm512_mul_pd(_mm512_set1_pd(0.5), x), _mm512_add_pd(one, erf));
 }
 
 __attribute__((target("avx512f"))) void gelu_span_avx512(const double* x, double* y,
                                                          std::size_t n, const ExpTable& t) {
-  alignas(64) double tail_x[kChunk];
-  alignas(64) std::uint64_t tail_at[kChunk];
-  const __m512i lane = _mm512_setr_epi64(0, 1, 2, 3, 4, 5, 6, 7);
   std::size_t i = 0;
-  while (n - i >= 8) {
-    const std::size_t end = i + std::min(kChunk, (n - i) / 8 * 8);
-    std::size_t tails = 0;
-    for (; i < end; i += 8) {
-      const __m512d xv = _mm512_loadu_pd(x + i);
-      __mmask8 tail;
-      const __m512d yv = gelu_near_lanes_avx512(xv, &tail);
-      _mm512_mask_compressstoreu_pd(tail_x + tails, tail, xv);
-      _mm512_mask_compressstoreu_epi64(
-          tail_at + tails, tail, _mm512_add_epi64(_mm512_set1_epi64(static_cast<long long>(i)), lane));
-      tails += static_cast<std::size_t>(__builtin_popcount(tail));
-      _mm512_storeu_pd(y + i, yv);
-    }
-    for (std::size_t j = tails; j % 8 != 0; ++j) tail_x[j] = kTailPad;
-    for (std::size_t j = 0; j < tails; j += 8) {
-      alignas(64) double out[8];
-      _mm512_store_pd(out, gelu_tail_lanes_avx512(_mm512_load_pd(tail_x + j), t));
-      for (std::size_t l = 0; l < 8 && j + l < tails; ++l) y[tail_at[j + l]] = out[l];
-    }
-  }
+  for (; n - i >= 8; i += 8) _mm512_storeu_pd(y + i, gelu_lanes_avx512(_mm512_loadu_pd(x + i), t));
   gelu_span_portable(x + i, y + i, n - i, t);
 }
 
@@ -382,74 +350,52 @@ __attribute__((target("avx2,fma"))) inline __m256d poly_avx2(__m256d w, const Po
   return _mm256_add_pd(p, _mm256_mul_pd(_mm256_mul_pd(w4, w4), coef_avx2(c, row1, rows, 8)));
 }
 
-/// gelu_near_lanes_avx512 on four lanes; `tail` gets the tail-lane bits.
-__attribute__((target("avx2,fma"))) __m256d gelu_near_lanes_avx2(__m256d x, int* tail) {
+/// gelu_lanes_avx512 on four lanes.
+__attribute__((target("avx2,fma"))) __m256d gelu_lanes_avx2(__m256d x, const ExpTable& t) {
   const __m256d one = _mm256_set1_pd(1.0);
   const __m256d z = _mm256_div_pd(x, _mm256_set1_pd(kSqrt2));
   const __m256d sign = _mm256_and_pd(_mm256_set1_pd(-0.0), z);
   const __m256d az = _mm256_andnot_pd(_mm256_set1_pd(-0.0), z);
   const __m256d near = _mm256_cmp_pd(az, _mm256_set1_pd(kNear), _CMP_LT_OQ);
-  *tail = _mm256_movemask_pd(
-      _mm256_andnot_pd(near, _mm256_cmp_pd(az, _mm256_set1_pd(kOne), _CMP_LT_OQ)));
-  __m256d erf = _mm256_or_pd(one, sign);
-  if (_mm256_movemask_pd(near) != 0) {
-    const __m256d mid = _mm256_cmp_pd(az, _mm256_set1_pd(kSmall), _CMP_GE_OQ);
-    const __m256d w = _mm256_blendv_pd(_mm256_mul_pd(z, z), _mm256_sub_pd(az, one), mid);
-    __m256d y = _mm256_div_pd(poly_avx2(w, kNearNum, mid), poly_avx2(w, kNearDen, mid));
-    const __m256d tiny = _mm256_cmp_pd(az, _mm256_set1_pd(kTiny), _CMP_LT_OQ);
-    y = _mm256_blendv_pd(y, _mm256_set1_pd(kEfx), tiny);
-    const __m256d small_erf = _mm256_add_pd(z, _mm256_mul_pd(z, y));
-    const __m256d mid_erf = _mm256_or_pd(_mm256_add_pd(_mm256_set1_pd(kErx), y), sign);
-    erf = _mm256_blendv_pd(erf, _mm256_blendv_pd(small_erf, mid_erf, mid), near);
+  const __m256d tail =
+      _mm256_andnot_pd(near, _mm256_cmp_pd(az, _mm256_set1_pd(kOne), _CMP_LT_OQ));
+  const bool any_tail = _mm256_movemask_pd(tail) != 0;
+  const __m256d mid = _mm256_cmp_pd(az, _mm256_set1_pd(kSmall), _CMP_GE_OQ);
+  const __m256d w = _mm256_blendv_pd(_mm256_mul_pd(z, z), _mm256_sub_pd(az, one), mid);
+  __m256d num = poly_avx2(w, kNearNum, mid);
+  __m256d den = poly_avx2(w, kNearDen, mid);
+  if (any_tail) {
+    const __m256d far = _mm256_cmp_pd(az, _mm256_set1_pd(kTailSplit), _CMP_GE_OQ);
+    const __m256d s = _mm256_div_pd(one, _mm256_mul_pd(az, az));
+    num = _mm256_blendv_pd(num, poly_avx2(s, kTailNum, far), tail);
+    den = _mm256_blendv_pd(den, poly_avx2(s, kTailDen, far), tail);
   }
-  return _mm256_mul_pd(_mm256_mul_pd(_mm256_set1_pd(0.5), x), _mm256_add_pd(one, erf));
-}
+  const __m256d ratio = _mm256_div_pd(num, den);
 
-/// gelu_tail_lanes_avx512 on four lanes.
-__attribute__((target("avx2,fma"))) __m256d gelu_tail_lanes_avx2(__m256d x, const ExpTable& t) {
-  const __m256d one = _mm256_set1_pd(1.0);
-  const __m256d z = _mm256_div_pd(x, _mm256_set1_pd(kSqrt2));
-  const __m256d sign = _mm256_and_pd(_mm256_set1_pd(-0.0), z);
-  const __m256d az = _mm256_andnot_pd(_mm256_set1_pd(-0.0), z);
-  const __m256d far = _mm256_cmp_pd(az, _mm256_set1_pd(kTailSplit), _CMP_GE_OQ);
-  const __m256d s = _mm256_div_pd(one, _mm256_mul_pd(az, az));
-  const __m256d ratio = _mm256_div_pd(poly_avx2(s, kTailNum, far), poly_avx2(s, kTailDen, far));
-  const __m256d hz = _mm256_and_pd(
-      az, _mm256_castsi256_pd(_mm256_set1_epi64x(static_cast<long long>(0xFFFFFFFF00000000ull))));
-  const __m256d e1 = exp_avx2(_mm256_sub_pd(_mm256_set1_pd(-0.5625), _mm256_mul_pd(hz, hz)), t);
-  const __m256d e2 = exp_avx2(
-      _mm256_add_pd(_mm256_mul_pd(_mm256_sub_pd(hz, az), _mm256_add_pd(hz, az)), ratio), t);
-  const __m256d erf =
-      _mm256_or_pd(_mm256_sub_pd(one, _mm256_div_pd(_mm256_mul_pd(e1, e2), az)), sign);
+  __m256d erf = _mm256_or_pd(one, sign);
+  const __m256d tiny = _mm256_cmp_pd(az, _mm256_set1_pd(kTiny), _CMP_LT_OQ);
+  const __m256d y = _mm256_blendv_pd(ratio, _mm256_set1_pd(kEfx), tiny);
+  const __m256d small_erf = _mm256_add_pd(z, _mm256_mul_pd(z, y));
+  const __m256d mid_erf = _mm256_or_pd(_mm256_add_pd(_mm256_set1_pd(kErx), y), sign);
+  erf = _mm256_blendv_pd(erf, _mm256_blendv_pd(small_erf, mid_erf, mid), near);
+  if (any_tail) {
+    const __m256d hz = _mm256_and_pd(
+        az, _mm256_castsi256_pd(_mm256_set1_epi64x(static_cast<long long>(0xFFFFFFFF00000000ull))));
+    const __m256d e1 =
+        exp_avx2(_mm256_sub_pd(_mm256_set1_pd(-0.5625), _mm256_mul_pd(hz, hz)), t);
+    const __m256d e2 = exp_avx2(
+        _mm256_add_pd(_mm256_mul_pd(_mm256_sub_pd(hz, az), _mm256_add_pd(hz, az)), ratio), t);
+    const __m256d tail_erf =
+        _mm256_or_pd(_mm256_sub_pd(one, _mm256_div_pd(_mm256_mul_pd(e1, e2), az)), sign);
+    erf = _mm256_blendv_pd(erf, tail_erf, tail);
+  }
   return _mm256_mul_pd(_mm256_mul_pd(_mm256_set1_pd(0.5), x), _mm256_add_pd(one, erf));
 }
 
 __attribute__((target("avx2,fma"))) void gelu_span_avx2(const double* x, double* y,
                                                         std::size_t n, const ExpTable& t) {
-  alignas(32) double tail_x[kChunk];
-  std::size_t tail_at[kChunk];
   std::size_t i = 0;
-  while (n - i >= 4) {
-    const std::size_t end = i + std::min(kChunk, (n - i) / 4 * 4);
-    std::size_t tails = 0;
-    for (; i < end; i += 4) {
-      const __m256d xv = _mm256_loadu_pd(x + i);
-      int tail;
-      const __m256d yv = gelu_near_lanes_avx2(xv, &tail);
-      for (int l = 0; l < 4; ++l) {
-        if ((tail >> l & 1) == 0) continue;
-        tail_x[tails] = x[i + l];
-        tail_at[tails++] = i + l;
-      }
-      _mm256_storeu_pd(y + i, yv);
-    }
-    for (std::size_t j = tails; j % 4 != 0; ++j) tail_x[j] = kTailPad;
-    for (std::size_t j = 0; j < tails; j += 4) {
-      alignas(32) double out[4];
-      _mm256_store_pd(out, gelu_tail_lanes_avx2(_mm256_load_pd(tail_x + j), t));
-      for (std::size_t l = 0; l < 4 && j + l < tails; ++l) y[tail_at[j + l]] = out[l];
-    }
-  }
+  for (; n - i >= 4; i += 4) _mm256_storeu_pd(y + i, gelu_lanes_avx2(_mm256_loadu_pd(x + i), t));
   gelu_span_portable(x + i, y + i, n - i, t);
 }
 

@@ -7,7 +7,7 @@
 // evaluated with the same expression trees and coefficients the C library
 // uses, branch-free per lane (a vector computes the interval formulas its
 // lanes need and blends), plus a table-driven vector exp for the tail
-// intervals, whose lanes are compacted into dense vectors first. Three
+// intervals, run for a vector only when one of its lanes needs it. Three
 // spellings exist — AVX-512, AVX2 and portable scalar — and they give
 // identical bits: the rational parts run plain IEEE multiply/add/divide
 // with contraction disabled, and the exp uses fused multiply-add in every

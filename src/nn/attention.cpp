@@ -42,11 +42,16 @@ tensor::Matrix softmax_rows_backward(const tensor::Matrix& attn,
   return dx;
 }
 
-/// Columns [h*d, (h+1)*d) of m.
-tensor::Matrix slice_cols(const tensor::Matrix& m, std::size_t h, std::size_t d) {
-  tensor::Matrix out(m.rows(), d);
+/// Copies columns [h*d, (h+1)*d) of m into out (m.rows() x d).
+void copy_cols(const tensor::Matrix& m, std::size_t h, std::size_t d, tensor::Matrix& out) {
   for (std::size_t i = 0; i < m.rows(); ++i)
     for (std::size_t j = 0; j < d; ++j) out(i, j) = m(i, h * d + j);
+}
+
+/// Columns [h*d, (h+1)*d) of m.
+tensor::Matrix slice_cols(const tensor::Matrix& m, std::size_t h, std::size_t d) {
+  tensor::Matrix out(m.rows(), d, tensor::kUninitialized);
+  copy_cols(m, h, d, out);
   return out;
 }
 
@@ -95,25 +100,29 @@ tensor::Matrix MultiHeadSelfAttention::attend(const tensor::Matrix& x,
   // d_head x seq block of rows [h*d_head, (h+1)*d_head).
   const tensor::Matrix kt = tensor::transpose(k);
 
-  // Each head reads its Q/K/V columns in place and writes its context
-  // straight into its concat columns; gemm_strided forms every element as
-  // gemm() would on the sliced copies, so the bits are those of the
-  // slice/matmul/scale/softmax/paste composition.
-  tensor::Matrix scores(seq, seq, tensor::kUninitialized);  // reused by every head
+  // Every head reuses the same contiguous operand, score and context
+  // buffers, and the scale is folded into the in-place softmax; the products
+  // go through gemm() exactly as the slice/matmul/scale/softmax/paste
+  // composition did, so the bits are unchanged.
+  tensor::Matrix qh(seq, d_head_, tensor::kUninitialized);
+  tensor::Matrix vh(seq, d_head_, tensor::kUninitialized);
+  tensor::Matrix scores(seq, seq, tensor::kUninitialized);
+  tensor::Matrix context(seq, d_head_, tensor::kUninitialized);
   tensor::Matrix concat(seq, d_model_, tensor::kUninitialized);
   for (std::size_t h = 0; h < heads_; ++h) {
-    const std::size_t col = h * d_head_;
-    tensor::kernels::gemm_strided(q.data().data() + col, d_model_,
-                                  kt.data().data() + col * seq, seq, scores.data().data(),
-                                  seq, seq, d_head_, seq);
+    copy_cols(q, h, d_head_, qh);
+    copy_cols(v, h, d_head_, vh);
+    tensor::kernels::gemm(qh.data().data(), kt.data().data() + h * d_head_ * seq,
+                          scores.data().data(), seq, d_head_, seq);
     softmax_rows_scaled(scores, scale);
-    tensor::kernels::gemm_strided(scores.data().data(), seq, v.data().data() + col, d_model_,
-                                  concat.data().data() + col, d_model_, seq, seq, d_head_);
+    tensor::kernels::gemm(scores.data().data(), vh.data().data(), context.data().data(), seq,
+                          seq, d_head_);
+    paste_cols(concat, context, h, d_head_);
     if (cache_out != nullptr) {
       HeadCache& cache = (*cache_out)[h];
-      cache.q = slice_cols(q, h, d_head_);
+      cache.q = qh;
       cache.k = slice_cols(k, h, d_head_);
-      cache.v = slice_cols(v, h, d_head_);
+      cache.v = vh;
       cache.attn = scores;
     }
   }

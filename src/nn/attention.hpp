@@ -61,8 +61,9 @@ class MultiHeadSelfAttention : public Layer {
   /// `use_packed` sends the four weight projections through the cached
   /// PackedB form (infer); forward keeps the raw weights, same rationale as
   /// Linear. Both produce identical bits (the gemm_packed contract). The
-  /// per-head score and context products read Q/K/V in place through
-  /// gemm_strided, which packs nothing on either path.
+  /// per-head score and context products multiply activations, so they run
+  /// through plain gemm(), which packs their B on every call once a head is
+  /// wide enough for the blocked path.
   tensor::Matrix attend(const tensor::Matrix& x, std::vector<HeadCache>* cache_out,
                         tensor::Matrix* concat_out, bool use_packed) const;
 

@@ -22,14 +22,26 @@ double Embedding::positional_term(std::size_t pos, std::size_t dim) const {
 
 std::shared_ptr<const std::vector<double>> Embedding::positional_rows(
     std::size_t seq) const {
-  std::lock_guard<std::mutex> lock(positions_mutex_);
-  if (positions_ == nullptr || positions_->size() < seq * d_model_) {
-    auto rows = std::make_shared<std::vector<double>>(seq * d_model_);
-    for (std::size_t p = 0; p < seq; ++p)
-      for (std::size_t j = 0; j < d_model_; ++j)
-        (*rows)[p * d_model_ + j] = positional_term(p, j);
-    positions_ = std::move(rows);
+  std::shared_ptr<const std::vector<double>> cached;
+  {
+    std::lock_guard<std::mutex> lock(positions_mutex_);
+    if (positions_ != nullptr && positions_->size() >= seq * d_model_) return positions_;
+    cached = positions_;
   }
+  // Grow outside the lock, so requests that fit the published table never
+  // wait on the rebuild: copy the cached rows and compute only the new ones.
+  auto rows = std::make_shared<std::vector<double>>();
+  rows->reserve(seq * d_model_);
+  std::size_t have = 0;
+  if (cached != nullptr) {
+    rows->assign(cached->begin(), cached->end());
+    have = cached->size() / d_model_;
+  }
+  for (std::size_t p = have; p < seq; ++p)
+    for (std::size_t j = 0; j < d_model_; ++j) rows->push_back(positional_term(p, j));
+  std::lock_guard<std::mutex> lock(positions_mutex_);
+  // A racing request may have published a longer table meanwhile; keep it.
+  if (positions_ == nullptr || positions_->size() < rows->size()) positions_ = std::move(rows);
   return positions_;
 }
 

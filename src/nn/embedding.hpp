@@ -36,11 +36,13 @@ class Embedding : public Layer {
 
  private:
   /// At least `seq` rows of positional terms (row-major, d_model each).
-  /// Built on first use and rebuilt, to exactly `seq` rows, only when a
-  /// longer sequence arrives, so memory stays bounded by the longest
-  /// sequence seen. The mutex guards only the pointer: a published table
-  /// is immutable, and concurrent infer() calls keep theirs alive through
-  /// the shared_ptr across a regrow (same scheme as PackedWeightCache).
+  /// Built on first use and grown, to exactly `seq` rows, only when a
+  /// longer sequence arrives (the cached rows are copied, only the new ones
+  /// computed), so memory stays bounded by the longest sequence seen. The
+  /// mutex guards only the pointer and is not held while rows are computed:
+  /// a published table is immutable, and concurrent infer() calls keep
+  /// theirs alive through the shared_ptr across a regrow (same scheme as
+  /// PackedWeightCache).
   std::shared_ptr<const std::vector<double>> positional_rows(std::size_t seq) const;
   /// Shared forward/infer gather; records the ids for backward only when
   /// requested (ids_out sized to the sequence by the caller).

@@ -4,11 +4,11 @@
 // A layer that multiplies activations against a weight Param on its
 // inference path (Linear, Conv2d's im2col GEMM, the attention projections)
 // owns one PackedWeightCache per weight matrix. Products of two activations
-// — attention's per-head scores and context — have no weight to cache; they
-// read their operands in place through kernels::gemm_strided and pack
-// nothing either. get() returns the weight in
-// the kernel layer's PackedB form, rebuilding it only when the Param's
-// version has moved (every optimizer step bumps it), so frozen serving
+// — attention's per-head scores and context — have no weight to cache: they
+// run through plain kernels::gemm(), which packs their B on every call at
+// blocked-path widths. get() returns the weight in the kernel layer's
+// PackedB form, rebuilding it only when the Param's version has moved
+// (every optimizer step bumps it), so frozen serving
 // models pack each weight exactly once per fleet-shared registry entry and
 // training invalidates automatically. The mutex only guards the
 // (pointer, version) pair — the PackedB itself is immutable after

@@ -288,126 +288,16 @@ __attribute__((target("avx512f"))) void store_tile_avx512_8x16(double* c, std::s
 #pragma GCC diagnostic pop
 #endif  // ONESA_GEMM_X86_KERNELS
 
-// ------------------------------------------------------------ row kernels
-//
-// One output row of the blocked path with B read in place (gemm_strided):
-// c[j] = sum_p a[p] * B[p][j], each element an ascending-p chain started
-// from zero in every kKC panel and added to the previous panels' sum — the
-// exact per-element arithmetic of the micro-kernel of the same ISA, so a
-// row kernel reproduces the blocked path's bits without packing anything.
-
-using RowKernelFn = void (*)(const double*, const double*, std::size_t, double*,
-                             std::size_t, std::size_t);
-
-/// Portable row kernel: separate multiply and add, like micro_kernel_generic.
-void row_kernel_generic(const double* __restrict a, const double* __restrict b,
-                        std::size_t ldb, double* __restrict c, std::size_t k,
-                        std::size_t n) {
-  constexpr std::size_t kWidth = 64;
-  for (std::size_t j0 = 0; j0 < n; j0 += kWidth) {
-    const std::size_t w = std::min(kWidth, n - j0);
-    for (std::size_t kc = 0; kc < k; kc += KC) {
-      double acc[kWidth];
-      for (std::size_t j = 0; j < w; ++j) acc[j] = 0.0;
-      for (std::size_t p = kc; p < std::min(k, kc + KC); ++p) {
-        const double ap = a[p];
-        const double* __restrict brow = b + p * ldb + j0;
-        for (std::size_t j = 0; j < w; ++j) acc[j] += ap * brow[j];
-      }
-      for (std::size_t j = 0; j < w; ++j) c[j0 + j] = kc == 0 ? acc[j] : c[j0 + j] + acc[j];
-    }
-  }
-}
-
-#ifdef ONESA_GEMM_X86_KERNELS
-/// AVX2+FMA row kernel: 16 columns per pass in four ymm chains (masked at
-/// the row's end).
-__attribute__((target("avx2,fma"))) void row_kernel_avx2(const double* a, const double* b,
-                                                         std::size_t ldb, double* c,
-                                                         std::size_t k, std::size_t n) {
-  const __m256i lane = _mm256_setr_epi64x(0, 1, 2, 3);
-  for (std::size_t j0 = 0; j0 < n; j0 += 16) {
-    const auto w = static_cast<long long>(std::min<std::size_t>(16, n - j0));
-    const __m256i m0 = _mm256_cmpgt_epi64(_mm256_set1_epi64x(w), lane);
-    const __m256i m1 = _mm256_cmpgt_epi64(_mm256_set1_epi64x(w - 4), lane);
-    const __m256i m2 = _mm256_cmpgt_epi64(_mm256_set1_epi64x(w - 8), lane);
-    const __m256i m3 = _mm256_cmpgt_epi64(_mm256_set1_epi64x(w - 12), lane);
-    double* crow = c + j0;
-    for (std::size_t kc = 0; kc < k; kc += KC) {
-      __m256d c0 = _mm256_setzero_pd(), c1 = _mm256_setzero_pd();
-      __m256d c2 = _mm256_setzero_pd(), c3 = _mm256_setzero_pd();
-      for (std::size_t p = kc; p < std::min(k, kc + KC); ++p) {
-        const __m256d ap = _mm256_broadcast_sd(a + p);
-        const double* brow = b + p * ldb + j0;
-        c0 = _mm256_fmadd_pd(ap, _mm256_maskload_pd(brow, m0), c0);
-        c1 = _mm256_fmadd_pd(ap, _mm256_maskload_pd(brow + 4, m1), c1);
-        c2 = _mm256_fmadd_pd(ap, _mm256_maskload_pd(brow + 8, m2), c2);
-        c3 = _mm256_fmadd_pd(ap, _mm256_maskload_pd(brow + 12, m3), c3);
-      }
-      if (kc != 0) {
-        c0 = _mm256_add_pd(_mm256_maskload_pd(crow, m0), c0);
-        c1 = _mm256_add_pd(_mm256_maskload_pd(crow + 4, m1), c1);
-        c2 = _mm256_add_pd(_mm256_maskload_pd(crow + 8, m2), c2);
-        c3 = _mm256_add_pd(_mm256_maskload_pd(crow + 12, m3), c3);
-      }
-      _mm256_maskstore_pd(crow, m0, c0);
-      _mm256_maskstore_pd(crow + 4, m1, c1);
-      _mm256_maskstore_pd(crow + 8, m2, c2);
-      _mm256_maskstore_pd(crow + 12, m3, c3);
-    }
-  }
-}
-
-/// AVX-512 row kernel: 32 columns per pass in four zmm chains (masked at
-/// the row's end).
-__attribute__((target("avx512f"))) void row_kernel_avx512(const double* a, const double* b,
-                                                          std::size_t ldb, double* c,
-                                                          std::size_t k, std::size_t n) {
-  auto lanes = [](std::size_t w, std::size_t lo) -> __mmask8 {
-    return w <= lo ? 0 : w >= lo + 8 ? 0xFF : static_cast<__mmask8>((1u << (w - lo)) - 1);
-  };
-  for (std::size_t j0 = 0; j0 < n; j0 += 32) {
-    const std::size_t w = std::min<std::size_t>(32, n - j0);
-    const __mmask8 m0 = lanes(w, 0), m1 = lanes(w, 8), m2 = lanes(w, 16), m3 = lanes(w, 24);
-    double* crow = c + j0;
-    for (std::size_t kc = 0; kc < k; kc += KC) {
-      __m512d c0 = _mm512_setzero_pd(), c1 = _mm512_setzero_pd();
-      __m512d c2 = _mm512_setzero_pd(), c3 = _mm512_setzero_pd();
-      for (std::size_t p = kc; p < std::min(k, kc + KC); ++p) {
-        const __m512d ap = _mm512_set1_pd(a[p]);
-        const double* brow = b + p * ldb + j0;
-        c0 = _mm512_fmadd_pd(ap, _mm512_maskz_loadu_pd(m0, brow), c0);
-        c1 = _mm512_fmadd_pd(ap, _mm512_maskz_loadu_pd(m1, brow + 8), c1);
-        c2 = _mm512_fmadd_pd(ap, _mm512_maskz_loadu_pd(m2, brow + 16), c2);
-        c3 = _mm512_fmadd_pd(ap, _mm512_maskz_loadu_pd(m3, brow + 24), c3);
-      }
-      if (kc != 0) {
-        c0 = _mm512_add_pd(_mm512_maskz_loadu_pd(m0, crow), c0);
-        c1 = _mm512_add_pd(_mm512_maskz_loadu_pd(m1, crow + 8), c1);
-        c2 = _mm512_add_pd(_mm512_maskz_loadu_pd(m2, crow + 16), c2);
-        c3 = _mm512_add_pd(_mm512_maskz_loadu_pd(m3, crow + 24), c3);
-      }
-      _mm512_mask_storeu_pd(crow, m0, c0);
-      _mm512_mask_storeu_pd(crow + 8, m1, c1);
-      _mm512_mask_storeu_pd(crow + 16, m2, c2);
-      _mm512_mask_storeu_pd(crow + 24, m3, c3);
-    }
-  }
-}
-#endif  // ONESA_GEMM_X86_KERNELS
-
 /// Widest micro-row height any kernel uses (sizes the stack accumulator).
 constexpr std::size_t kMaxMr = 8;
 
-/// A selected micro-kernel: function, tile height, B sliver width, an
-/// optional vectorized full-tile store (nullptr = scalar store loops), and
-/// the row kernel of the same arithmetic.
+/// A selected micro-kernel: function, tile height, B sliver width, and an
+/// optional vectorized full-tile store (nullptr = scalar store loops).
 struct MicroKernel {
   MicroKernelFn fn;
   std::size_t mr;
   std::size_t nr;
-  StoreTileFn store;
-  RowKernelFn row;
+  StoreTileFn store = nullptr;
 };
 
 /// The one micro-kernel every blocked GEMM runs. AVX2 lacks the registers
@@ -416,13 +306,13 @@ struct MicroKernel {
 MicroKernel select_micro_kernel() {
 #ifdef ONESA_GEMM_X86_KERNELS
   if (__builtin_cpu_supports("avx512f")) {
-    return {micro_kernel_avx512_8x16, 8, 16, store_tile_avx512_8x16, row_kernel_avx512};
+    return {micro_kernel_avx512_8x16, 8, 16, store_tile_avx512_8x16};
   }
   if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma")) {
-    return {micro_kernel_avx2, MR, 8, nullptr, row_kernel_avx2};
+    return {micro_kernel_avx2, MR, 8, nullptr};
   }
 #endif
-  return {micro_kernel_generic, MR, 8, nullptr, row_kernel_generic};
+  return {micro_kernel_generic, MR, 8, nullptr};
 }
 
 const MicroKernel g_micro = select_micro_kernel();
@@ -464,19 +354,6 @@ void gemm_reference_packed(const double* a, const PackedB& b, double* c, std::si
       double* crow = c + i * n;
       for (std::size_t j = 0; j < n; ++j) crow[j] += aik * b.at(kk, j);
     }
-  }
-}
-
-/// One row of gemm_reference with B at row stride ldb: c zero-filled, then
-/// c += a_k * B[k][:] for k ascending, skipping zero a_k.
-void reference_row(const double* a, const double* b, std::size_t ldb, double* c,
-                   std::size_t k, std::size_t n) {
-  std::fill(c, c + n, 0.0);
-  for (std::size_t kk = 0; kk < k; ++kk) {
-    const double aik = a[kk];
-    if (aik == 0.0) continue;
-    const double* brow = b + kk * ldb;
-    for (std::size_t j = 0; j < n; ++j) c[j] += aik * brow[j];
   }
 }
 
@@ -727,7 +604,16 @@ void set_deterministic(bool on) {
 
 void gemm_reference(const double* a, const double* b, double* c, std::size_t m,
                     std::size_t k, std::size_t n) {
-  for (std::size_t i = 0; i < m; ++i) reference_row(a + i * k, b, n, c + i * n, k, n);
+  std::fill(c, c + m * n, 0.0);
+  for (std::size_t i = 0; i < m; ++i) {
+    for (std::size_t kk = 0; kk < k; ++kk) {
+      const double aik = a[i * k + kk];
+      if (aik == 0.0) continue;
+      const double* brow = b + kk * n;
+      double* crow = c + i * n;
+      for (std::size_t j = 0; j < n; ++j) crow[j] += aik * brow[j];
+    }
+  }
 }
 
 std::size_t gemm_threads(std::size_t m, std::size_t k, std::size_t n) {
@@ -808,12 +694,6 @@ void gemm(const double* a, const double* b, double* c, std::size_t m, std::size_
   const auto t0 = std::chrono::steady_clock::now();
   gemm_dispatch(a, b, c, m, k, n);
   record_kernel_profile(gemm_metrics(), "gemm", m, k, n, t0);
-}
-
-void gemm_strided(const double* a, std::size_t lda, const double* b, std::size_t ldb,
-                  double* c, std::size_t ldc, std::size_t m, std::size_t k, std::size_t n) {
-  const RowKernelFn row = deterministic() || k * n <= kTinyRowMacs ? reference_row : g_micro.row;
-  for (std::size_t i = 0; i < m; ++i) row(a + i * lda, b, ldb, c + i * ldc, k, n);
 }
 
 void gemm_packed(const double* a, const PackedB& b, double* c, std::size_t m,

@@ -80,18 +80,6 @@ void gemm_packed(const double* a, const PackedB& b, double* c, std::size_t m,
 void gemm_packed(ConstMatrixView a, const PackedB& b, MatrixView c,
                  const Epilogue& epi = {});
 
-/// GEMM over strided operands with B read in place — no packing, single
-/// thread: C[m x n] (row stride ldc) = A[m x k] (row stride lda) * B[k x n]
-/// (row stride ldb). For small products whose B is used once, such as an
-/// attention head's scores and context, where packing B costs more than it
-/// saves. Each output element is formed exactly as gemm() forms it on
-/// contiguous copies of the operands — the same dispatch criterion (the
-/// reference order in deterministic mode or when k*n <= 64, else
-/// ascending-k chains on the selected micro-kernel's arithmetic, restarted
-/// and summed per kKC panel) — so results are bit-identical to gemm().
-void gemm_strided(const double* a, std::size_t lda, const double* b, std::size_t ldb,
-                  double* c, std::size_t ldc, std::size_t m, std::size_t k, std::size_t n);
-
 /// Threads the dispatcher would use for an m x k x n problem (1 = serial).
 /// Exposed for tests and the perf harness.
 std::size_t gemm_threads(std::size_t m, std::size_t k, std::size_t n);

@@ -338,8 +338,8 @@ TEST(GeluExact, EveryTierGivesIdenticalBits) {
   for (std::size_t i = 0; i < x.size(); ++i)
     ASSERT_TRUE(same_bits_or_both_nan(dispatched[i], portable[i])) << x[i];
 
-  // Spans shorter than, equal to and just past a vector or a 256-element
-  // compaction chunk, and in place.
+  // Spans shorter than, equal to and just past a vector, longer spans with a
+  // scalar remainder, and in place.
   for (std::size_t len : {0u, 1u, 5u, 8u, 13u, 256u, 257u, 700u}) {
     std::vector<double> y(x.begin(), x.begin() + len);
     gelu_exact(y, y);

@@ -121,39 +121,6 @@ TEST(GemmPacked, MatchesDispatcherBitExactlyAcrossShapes) {
   }
 }
 
-TEST(GemmStrided, MatchesDispatcherBitExactlyAcrossShapesAndModes) {
-  // gemm_strided reads every operand in place at its own row stride and
-  // must form each element exactly as gemm() does on contiguous copies —
-  // reference order for tiny rows and in deterministic mode, blocked
-  // micro-kernel chains summed per 256-deep k-panel otherwise — without
-  // writing past a row of C.
-  const bool prev = tensor::kernels::deterministic();
-  for (bool deterministic : {false, true}) {
-    tensor::kernels::set_deterministic(deterministic);
-    Rng rng(24);
-    for (const Shape& s : kGemmShapes) {
-      const Matrix a = random_matrix(s.m, s.k, rng);
-      const Matrix b = random_matrix(s.k, s.n, rng);
-      const Matrix want = tensor::matmul(a, b);
-      const std::size_t lda = s.k + 3, ldb = s.n + 5, ldc = s.n + 2;
-      std::vector<double> as(s.m * lda, 7.0), bs(s.k * ldb, 7.0), cs(s.m * ldc, -3.0);
-      for (std::size_t i = 0; i < s.m; ++i)
-        for (std::size_t kk = 0; kk < s.k; ++kk) as[i * lda + kk] = a(i, kk);
-      for (std::size_t kk = 0; kk < s.k; ++kk)
-        for (std::size_t j = 0; j < s.n; ++j) bs[kk * ldb + j] = b(kk, j);
-      tensor::kernels::gemm_strided(as.data(), lda, bs.data(), ldb, cs.data(), ldc, s.m, s.k,
-                                    s.n);
-      for (std::size_t i = 0; i < s.m; ++i) {
-        for (std::size_t j = 0; j < s.n; ++j)
-          ASSERT_EQ(cs[i * ldc + j], want(i, j))
-              << s.m << "x" << s.k << "x" << s.n << " deterministic=" << deterministic;
-        for (std::size_t j = s.n; j < ldc; ++j) ASSERT_EQ(cs[i * ldc + j], -3.0);
-      }
-    }
-  }
-  tensor::kernels::set_deterministic(prev);
-}
-
 TEST(GemmPacked, DeterministicModeBitExactWithReference) {
   const bool prev = tensor::kernels::deterministic();
   tensor::kernels::set_deterministic(true);

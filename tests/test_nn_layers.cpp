@@ -19,7 +19,6 @@
 #include "nn/norm.hpp"
 #include "nn/sequential.hpp"
 #include "train/optimizer.hpp"
-#include "tensor/kernels/gemm.hpp"
 #include "tensor/kernels/pack.hpp"
 #include "tensor/ops.hpp"
 
@@ -400,8 +399,9 @@ TEST(InferPath, SequentialFusesLinearActivationPairsBitExactly) {
 TEST(InferPath, ConvAndAttentionServeFromPrepackedWeights) {
   // Conv2d's im2col GEMM and the four attention projections route through
   // cached PackedB like Linear: prepack() builds every pack, after which
-  // infer() packs NOTHING. (These 4-wide heads take the reference order;
-  // AttentionAtBlockedPathWidthsPacksNothing covers blocked-path heads.)
+  // infer() packs NOTHING here. (These 4-wide heads' score and context
+  // products take gemm()'s unpacked reference order; at blocked-path head
+  // widths, gemm() packs each head's activation operand per request.)
   if (!tensor::kernels::pack_counter_enabled()) {
     GTEST_SKIP() << "pack counter compiled out (NDEBUG build)";
   }
@@ -439,8 +439,8 @@ TEST(InferPath, ConvAndAttentionServeFromPrepackedWeights) {
   EXPECT_EQ(attention.infer(seq), attention.forward(seq));
 }
 
-/// The per-head attention composition served before heads read Q/K/V in
-/// place: column slices, an explicit K^T, matmul, scale, a fresh-matrix row
+/// The per-head attention composition served before the head loop reused
+/// its buffers and transposed K once: column slices, an explicit K^T, matmul, scale, a fresh-matrix row
 /// softmax and a paste into the concat, each through tensor::matmul.
 Matrix attention_by_slices(MultiHeadSelfAttention& layer, const Matrix& x) {
   const std::vector<Param*> w = layer.params();  // Wq, Wk, Wv, Wo
@@ -476,7 +476,7 @@ Matrix attention_by_slices(MultiHeadSelfAttention& layer, const Matrix& x) {
 }
 
 TEST(InferPath, AttentionHeadsMatchTheSliceComposition) {
-  // The in-place head loop must reproduce the slice/transpose/matmul/scale/
+  // The buffer-reusing head loop must reproduce the slice/transpose/matmul/scale/
   // softmax/paste composition bit for bit: on the blocked-path shapes (BERT
   // base, a two-head 128-wide block, a sequence longer than one 256-deep
   // k-panel) and on tiny heads that take the reference order, in whichever
@@ -492,23 +492,6 @@ TEST(InferPath, AttentionHeadsMatchTheSliceComposition) {
     EXPECT_EQ(layer.infer(x), want) << c.d_model << "/" << c.heads << "/" << c.seq;
     EXPECT_EQ(layer.forward(x), want) << c.d_model << "/" << c.heads << "/" << c.seq;
   }
-}
-
-TEST(InferPath, AttentionAtBlockedPathWidthsPacksNothing) {
-  // d_head 64 x seq 16 puts both per-head products on the blocked GEMM path
-  // (k*n = 1024 > 64), where gemm() would pack B on every request; the head
-  // loop reads Q/K/V in place instead, so a prepacked block packs nothing.
-  if (!tensor::kernels::pack_counter_enabled()) {
-    GTEST_SKIP() << "pack counter compiled out (NDEBUG build)";
-  }
-  Rng rng(51);
-  MultiHeadSelfAttention attention(128, 2, rng);
-  attention.prepack();
-  const Matrix seq = tensor::random_uniform(16, 128, rng, -1.0, 1.0);
-  tensor::kernels::reset_pack_panel_count();
-  const Matrix served = attention.infer(seq);
-  EXPECT_EQ(tensor::kernels::pack_panel_count(), 0u);
-  EXPECT_EQ(served, attention.forward(seq));
 }
 
 TEST(InferPath, InferNeverTouchesTrainingState) {
