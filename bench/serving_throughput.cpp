@@ -1208,8 +1208,9 @@ int main(int argc, char** argv) {
     constexpr std::size_t kAllocWorkers = 4;
     // Startup warmth: a few blocks in every class up to 128 KiB so capacity
     // growth that crosses into a NEVER-before-touched size class mid-phase
-    // (the stats latency vectors double monotonically across phases) is a
-    // pool hit, not a heap allocation.
+    // (a queue backlog that peaks above every earlier one grows the
+    // scheduler's pending and park-flag vectors) is a pool hit, not a heap
+    // allocation.
     tensor::pool::prewarm(std::size_t{1} << 17, 16);
 
     serve::ServerPoolConfig cfg;
@@ -1250,9 +1251,10 @@ int main(int argc, char** argv) {
 
     const std::uint64_t s0 = settled_worker_allocs();
     drive();  // warmup: packs weights, fills pool shelves, grows every vector
-    // Top the shelves back up (main-thread heap work, uncounted): the stats
-    // latency vectors keep doubling across phases, and a doubling that
-    // crosses into a class the warmup drained must still be a pool hit.
+    // Top the shelves back up (main-thread heap work, uncounted): whether
+    // the steady phase's backlog peaks above the warmup's depends on host
+    // timing, and the growth that follows must still be a pool hit even in
+    // a class the warmup drained.
     tensor::pool::prewarm(std::size_t{1} << 17, 32);
     const std::uint64_t s1 = settled_worker_allocs();
     const tensor::pool::PoolStats p1 = tensor::pool::stats();

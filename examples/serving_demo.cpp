@@ -145,9 +145,9 @@ int main(int argc, char** argv) {
   std::cout << "fleet: " << fleet.shards() << " shards x " << cfg.workers_per_shard
             << " workers, " << cfg.accelerator.array.rows << "x"
             << cfg.accelerator.array.cols << " array x "
-            << cfg.accelerator.array.macs_per_pe << " MACs each, "
-            << serve::router_policy_name(cfg.router)
-            << " routing, shared CPWL tables + model registry\n\n";
+            << cfg.accelerator.array.macs_per_pe
+            << " MACs each, least-outstanding-cost routing, shared CPWL tables + model "
+               "registry\n\n";
 
   // --- model-trace traffic: three network families, several requests each.
   struct ModelJob {

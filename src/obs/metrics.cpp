@@ -149,7 +149,6 @@ void Histogram::record(double value) {
 
 HistogramSnapshot Histogram::snapshot() const {
   HistogramSnapshot snap;
-  snap.buckets.assign(kBuckets, 0);
   bool first = true;
   for (const auto& shard_ptr : shards_) {
     const Shard& shard = *shard_ptr;
@@ -185,24 +184,34 @@ void Histogram::reset() {
   }
 }
 
+void HistogramSnapshot::record(double value) {
+  ++buckets[Histogram::bucket_index(value)];
+  min = count == 0 ? value : std::min(min, value);
+  max = count == 0 ? value : std::max(max, value);
+  ++count;
+  sum += value;
+}
+
+void HistogramSnapshot::merge(const HistogramSnapshot& o) {
+  if (o.count == 0) return;
+  min = count == 0 ? o.min : std::min(min, o.min);
+  max = count == 0 ? o.max : std::max(max, o.max);
+  count += o.count;
+  sum += o.sum;
+  for (std::size_t b = 0; b < buckets.size(); ++b) buckets[b] += o.buckets[b];
+}
+
 double HistogramSnapshot::percentile(double p) const {
   if (count == 0) return 0.0;
   p = std::clamp(p, 0.0, 100.0);
-  // Target rank in [1, count]; walk buckets until the cumulative count
-  // covers it, then interpolate linearly inside the landing bucket.
-  const double target = std::max(1.0, p / 100.0 * static_cast<double>(count));
+  // Nearest rank: the smallest sample with at least p% of them at or below.
+  const auto rank = std::max<std::uint64_t>(
+      1, static_cast<std::uint64_t>(std::ceil(p / 100.0 * static_cast<double>(count))));
+  if (rank >= count) return max;
   std::uint64_t cumulative = 0;
   for (std::size_t b = 0; b < buckets.size(); ++b) {
-    if (buckets[b] == 0) continue;
-    const auto prev = static_cast<double>(cumulative);
     cumulative += buckets[b];
-    if (static_cast<double>(cumulative) < target) continue;
-    if (b == 0) return min;                      // underflow bucket: all <= min scale
-    if (b == buckets.size() - 1) return max;     // overflow bucket
-    const double lo = Histogram::bucket_lo(b);
-    const double hi = Histogram::bucket_hi(b);
-    const double frac = (target - prev) / static_cast<double>(buckets[b]);
-    return std::clamp(lo + frac * (hi - lo), min, max);
+    if (cumulative >= rank) return std::clamp(Histogram::bucket_lo(b), min, max);
   }
   return max;
 }

@@ -124,22 +124,7 @@ class Gauge {
   std::array<detail::GaugeShard, detail::kMaxShards> shards_{};
 };
 
-/// Read-only copy of a histogram's state, used for percentile queries and
-/// exposition without holding writers up.
-struct HistogramSnapshot {
-  std::uint64_t count = 0;
-  double sum = 0.0;
-  double min = 0.0;  // 0 when empty
-  double max = 0.0;
-  std::vector<std::uint64_t> buckets;  // Histogram::kBuckets entries
-
-  bool empty() const { return count == 0; }
-  double mean() const { return count == 0 ? 0.0 : sum / static_cast<double>(count); }
-
-  /// Percentile in [0, 100] with linear interpolation inside the landing
-  /// bucket; relative error bounded by 1/kSubBuckets. Returns 0 when empty.
-  double percentile(double p) const;
-};
+struct HistogramSnapshot;
 
 /// Log-linear histogram of positive doubles (latencies in ms, GFLOP/s,
 /// batch fill ratios). record() is lock-free: bucket counts are relaxed
@@ -186,6 +171,34 @@ class Histogram {
   std::array<std::unique_ptr<Shard>, kShards> shards_ = make_shards();
 
   static std::array<std::unique_ptr<Shard>, kShards> make_shards();
+};
+
+/// Plain (non-atomic) copy of a histogram's state: what snapshot() returns
+/// for percentile queries and exposition, and the single-writer form that
+/// serve::ServeStats keeps per priority class. Fixed size whatever the
+/// sample count, so record() and merge() never allocate.
+struct HistogramSnapshot {
+  std::uint64_t count = 0;
+  double sum = 0.0;
+  double min = 0.0;  // 0 when empty
+  double max = 0.0;
+  std::array<std::uint64_t, Histogram::kBuckets> buckets{};
+
+  bool empty() const { return count == 0; }
+  double mean() const { return count == 0 ? 0.0 : sum / static_cast<double>(count); }
+
+  /// Single-writer add; the caller owns the synchronization.
+  void record(double value);
+  /// Bucket-wise sum: the merged snapshot is the one both inputs' samples
+  /// would have built together.
+  void merge(const HistogramSnapshot& o);
+
+  /// Nearest-rank percentile, p in [0, 100] (clamped): the lower bound of
+  /// the bucket holding the rank-ceil(p% of count) sample, clamped to
+  /// [min, max]. At most 1/kSubBuckets below the exact nearest-rank value,
+  /// never above it; p0 is min and p100 is max exactly. Monotone in p;
+  /// 0 when empty.
+  double percentile(double p) const;
 };
 
 /// Name -> metric registry. Creation/lookup takes a mutex; returned

@@ -366,7 +366,7 @@ bool DynamicBatcher::compatible(const ServeRequest& head, const ServeRequest& re
   return false;
 }
 
-void DynamicBatcher::take_batch(std::vector<ServeRequest>& pending,
+void DynamicBatcher::take_batch(RequestBacklog& pending,
                                 std::vector<ServeRequest>& out) const {
   out.clear();
   if (pending.empty()) return;

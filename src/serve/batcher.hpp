@@ -27,6 +27,10 @@
 
 namespace onesa::serve {
 
+/// A queue's scheduling backlog. Pool-backed like the tensor buffers, so
+/// its growth on the worker path is a pool hit, not a heap allocation.
+using RequestBacklog = std::vector<ServeRequest, tensor::DefaultInitAllocator<ServeRequest>>;
+
 struct BatcherConfig {
   /// Row budget of one packed tile stack (requests stop being added once
   /// the stack would exceed this).
@@ -62,11 +66,10 @@ class DynamicBatcher {
   /// keep their capacity, so a worker passing the same pair every iteration
   /// stages batches without allocating), preserving arrival order. The
   /// caller holds the queue lock. `out` is empty iff `pending` is empty.
-  void take_batch(std::vector<ServeRequest>& pending,
-                  std::vector<ServeRequest>& out) const;
+  void take_batch(RequestBacklog& pending, std::vector<ServeRequest>& out) const;
 
   /// Convenience overload for tests and one-shot callers.
-  std::vector<ServeRequest> take_batch(std::vector<ServeRequest>& pending) const {
+  std::vector<ServeRequest> take_batch(RequestBacklog& pending) const {
     std::vector<ServeRequest> out;
     take_batch(pending, out);
     return out;

@@ -16,17 +16,6 @@ namespace onesa::serve {
 
 namespace {
 
-/// FNV-1a over the model name: stable within and across runs (unlike
-/// std::hash), so model-affinity placement is reproducible.
-std::uint64_t affinity_hash(std::string_view name) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (const char c : name) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
 /// Resilience counters, resolved once (obs/metrics.hpp static-local idiom).
 struct FleetMetrics {
   obs::Counter& retries =
@@ -54,15 +43,6 @@ std::string_view breaker_state_name(ShardHealth::Breaker state) {
 }
 
 }  // namespace
-
-std::string_view router_policy_name(RouterPolicy policy) {
-  switch (policy) {
-    case RouterPolicy::kLeastOutstandingCost: return "least-outstanding-cost";
-    case RouterPolicy::kRoundRobin: return "round-robin";
-    case RouterPolicy::kModelAffinity: return "model-affinity";
-  }
-  return "?";
-}
 
 // ---------------------------------------------------------------------------
 // ShardHealth
@@ -431,7 +411,6 @@ Fleet::Fleet(FleetConfig config)
     pool.workers = config_.workers_per_shard;
     pool.accelerator = config_.accelerator;
     pool.batcher = config_.batcher;
-    pool.dispatch = config_.dispatch;
     // Admission lives at the fleet: shards stay unlimited so a shedding
     // decision always sees the fleet-wide backlog, never one shard's slice.
     pool.admission = {};
@@ -450,8 +429,7 @@ Fleet::Fleet(FleetConfig config)
         /*tick_ms=*/1.0);
   }
   ONESA_LOG_DEBUG << "serve: fleet up with " << shards_.size() << " shards x "
-                  << config_.workers_per_shard << " workers ("
-                  << router_policy_name(config_.router) << " routing, admission "
+                  << config_.workers_per_shard << " workers (admission "
                   << (config_.admission.unlimited() ? "unlimited" : "fleet-wide")
                   << (wrap_ops_ ? ", resilience on" : "") << ")";
 }
@@ -472,7 +450,7 @@ ModelHandle Fleet::swap_model(const std::string& name,
   return registry_->swap(name, std::move(model));
 }
 
-std::size_t Fleet::route(const ServeRequest& req, std::size_t exclude) {
+std::size_t Fleet::route(std::size_t exclude) {
   const std::size_t n = shards_.size();
   // Breaker-admissible candidates first; when every shard refuses (all
   // breakers open), fall back to all of them — refusing 100% of traffic
@@ -490,22 +468,6 @@ std::size_t Fleet::route(const ServeRequest& req, std::size_t exclude) {
   }
   if (candidates.empty()) candidates.push_back(exclude);  // 1-shard fleet
 
-  switch (config_.router) {
-    case RouterPolicy::kRoundRobin:
-      return candidates[static_cast<std::size_t>(
-          rr_turn_.fetch_add(1, std::memory_order_relaxed) % candidates.size())];
-    case RouterPolicy::kModelAffinity:
-      if (req.kind == RequestKind::kModel && req.model != nullptr) {
-        // Hash the NAME, not the handle: affinity survives hot-swaps, so a
-        // model's traffic keeps batching on its shard across version flips.
-        const auto s = static_cast<std::size_t>(affinity_hash(req.model->name) % n);
-        if (std::find(candidates.begin(), candidates.end(), s) != candidates.end())
-          return s;
-      }
-      [[fallthrough]];  // non-model / non-admissible: level by outstanding cost
-    case RouterPolicy::kLeastOutstandingCost:
-      break;
-  }
   // Rotate the scan start so cost ties break round-robin instead of always
   // landing on the lowest-numbered shard — an idle fleet (every outstanding
   // cost zero) would otherwise serialize a whole burst onto shard 0 whenever
@@ -605,7 +567,7 @@ std::future<ServeResult> Fleet::submit(TaggedRequest req) {
 
   if (wrap_ops_) return submit_resilient(std::move(req));
 
-  const std::size_t s = route(req.request);
+  const std::size_t s = route();
   req.request.routed_shard = s;
   return shards_[s]->submit(std::move(req));
 }
@@ -638,7 +600,7 @@ std::future<ServeResult> Fleet::submit_resilient(TaggedRequest req) {
   std::future<ServeResult> result = std::move(req.result);
   const auto submitted = ServeClock::now();
 
-  const std::size_t s = route(r);
+  const std::size_t s = route();
   r.routed_shard = s;
   health_[s]->note_routed();
   op->last_shard = s;
@@ -736,7 +698,7 @@ void Fleet::submit_attempt(const std::shared_ptr<ResilientOp>& op, const char* s
     // client's SLO, it just spends what is left of it.
     attempt.request.deadline = op->deadline;
     attempt.request.hook = op;
-    const std::size_t s = route(attempt.request, exclude);
+    const std::size_t s = route(exclude);
     attempt.request.routed_shard = s;
     health_[s]->note_routed();
     {

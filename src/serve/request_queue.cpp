@@ -48,14 +48,6 @@ std::size_t submit_stripe_token() {
 
 }  // namespace
 
-std::string_view dispatch_policy_name(DispatchPolicy policy) {
-  switch (policy) {
-    case DispatchPolicy::kLeastLoaded: return "least-loaded";
-    case DispatchPolicy::kRotation: return "rotation";
-  }
-  return "?";
-}
-
 std::string_view overload_policy_name(OverloadPolicy policy) {
   switch (policy) {
     case OverloadPolicy::kReject: return "reject";
@@ -65,10 +57,9 @@ std::string_view overload_policy_name(OverloadPolicy policy) {
 }
 
 RequestQueue::RequestQueue(std::size_t workers, DynamicBatcher batcher,
-                           DispatchPolicy policy, AdmissionConfig admission)
+                           AdmissionConfig admission)
     : workers_(workers),
       batcher_(std::move(batcher)),
-      policy_(policy),
       admission_(admission),
       assigned_cost_(workers, 0) {
   ONESA_CHECK(workers_ > 0, "RequestQueue needs at least one worker");
@@ -308,7 +299,6 @@ void RequestQueue::requeue(std::vector<ServeRequest> requests) {
 }
 
 bool RequestQueue::is_turn(std::size_t worker) const {
-  if (policy_ == DispatchPolicy::kRotation) return turn_ == worker;
   // Least-loaded: smallest cumulative assigned cost wins, lowest index on
   // ties — deterministic regardless of which worker threads are awake.
   const auto least =
@@ -316,7 +306,7 @@ bool RequestQueue::is_turn(std::size_t worker) const {
   return static_cast<std::size_t>(least - assigned_cost_.begin()) == worker;
 }
 
-std::size_t RequestQueue::scheduled_head(const std::vector<char>& parked) const {
+std::size_t RequestQueue::scheduled_head(const ParkFlags& parked) const {
   std::size_t best = pending_.size();
   for (std::size_t i = 0; i < pending_.size(); ++i) {
     if (parked[i] != 0) continue;
@@ -410,7 +400,7 @@ void RequestQueue::pop_batch(std::size_t worker, std::vector<ServeRequest>& out)
     // Member scratch: assigned fresh each evaluation, never read across a
     // wait — reusing the capacity keeps the steady-state pop allocation-free.
     parked_scratch_.assign(pending_.size(), 0);
-    std::vector<char>& parked = parked_scratch_;
+    ParkFlags& parked = parked_scratch_;
     // A request's FIRST park is an observable event: it stamps the
     // window_park span start and counts toward the park metric. Re-parks on
     // later wakeups of the same wait are the same logical park.
@@ -493,13 +483,9 @@ void RequestQueue::pop_batch(std::size_t worker, std::vector<ServeRequest>& out)
   backlog_cost_.fetch_sub(cost, std::memory_order_relaxed);
   queue_metrics().depth.add(-static_cast<std::int64_t>(out.size()));
   queue_metrics().backlog.sub(static_cast<std::int64_t>(cost));
-  if (policy_ == DispatchPolicy::kRotation) {
-    turn_ = (turn_ + 1) % workers_;
-  } else {
-    // Charge at least one unit so zero-cost batches still advance the tie
-    // break instead of pinning every batch on one worker.
-    assigned_cost_[worker] += std::max<std::uint64_t>(cost, 1);
-  }
+  // Charge at least one unit so zero-cost batches still advance the tie
+  // break instead of pinning every batch on one worker.
+  assigned_cost_[worker] += std::max<std::uint64_t>(cost, 1);
   ++sched_epoch_;  // the turn and the backlog both changed
   lock.unlock();
   cv_.notify_all();

@@ -48,20 +48,13 @@
 // Shed counts are exported for ServeStats.
 //
 // WORKER DISPATCH. Pool workers block in pop_batch until a batch is
-// available and it is their turn to take one. Two dispatch policies govern
-// whose turn it is:
-//
-//   kLeastLoaded (default) — the worker whose cumulative *assigned simulated
-//     cost* (sum of ServeRequest::estimated_cost over every batch it has
-//     taken, ties broken by lowest index) is smallest takes the next batch.
-//
-//   kRotation — strict worker rotation, kept for A/B comparison.
-//
-// Determinism: given the *sequence of batches*, both policies pick workers
-// deterministically (rotation by turn counter, least-loaded by assigned
-// cost with a fixed tie break), never by which worker thread happens to be
-// awake. Batch composition itself still depends on how many compatible
-// requests are pending at pop time, as it always has.
+// available and it is their turn to take one: the worker whose cumulative
+// *assigned simulated cost* (sum of ServeRequest::estimated_cost over every
+// batch it has taken, ties broken by lowest index) is smallest takes the
+// next batch. Given the *sequence of batches* the choice is deterministic,
+// never decided by which worker thread happens to be awake. Batch
+// composition itself still depends on how many compatible requests are
+// pending at pop time.
 //
 // LOW-CONTENTION SUBMIT PATH. Submitters never touch the scheduler mutex:
 // push() appends to one of kSubmitShards striped inboxes (each a tiny
@@ -133,17 +126,10 @@ struct AdmissionConfig {
   }
 };
 
-/// How pop_batch decides which worker takes the next batch.
-enum class DispatchPolicy { kLeastLoaded, kRotation };
-
-std::string_view dispatch_policy_name(DispatchPolicy policy);
-
 class RequestQueue {
  public:
   /// `workers` is the dispatch-set size; batcher decides what rides together.
-  RequestQueue(std::size_t workers, DynamicBatcher batcher,
-               DispatchPolicy policy = DispatchPolicy::kLeastLoaded,
-               AdmissionConfig admission = {});
+  RequestQueue(std::size_t workers, DynamicBatcher batcher, AdmissionConfig admission = {});
 
   /// Enqueue a request (stamps its queue-entry time and arrival sequence).
   /// Returns true when admitted; when admission control sheds the request
@@ -193,7 +179,6 @@ class RequestQueue {
   std::size_t pending() const;
   /// Summed estimated cost (MACs) of the backlog right now.
   std::uint64_t backlog_cost() const;
-  DispatchPolicy policy() const { return policy_; }
   const AdmissionConfig& admission() const { return admission_; }
 
   /// Requests shed by admission control so far (rejected or evicted).
@@ -204,7 +189,7 @@ class RequestQueue {
   std::uint64_t window_expiries() const;
 
   /// Cumulative estimated simulated cost (MACs) assigned to each worker so
-  /// far — the quantity the least-loaded policy levels.
+  /// far — the quantity dispatch levels.
   std::vector<std::uint64_t> assigned_cost() const;
 
  private:
@@ -212,6 +197,8 @@ class RequestQueue {
   /// so the only contention on a push is another submitter that hashed to
   /// the same stripe — never the dispatcher's scheduler mutex.
   static constexpr std::size_t kSubmitShards = 8;
+  using ParkFlags = std::vector<char, tensor::DefaultInitAllocator<char>>;
+
   struct alignas(64) SubmitShard {
     std::mutex m;
     std::vector<ServeRequest> items;  // capacity survives drains
@@ -230,7 +217,7 @@ class RequestQueue {
   /// structures at realistic queue depths. Revisit with a per-class
   /// deadline-ordered index if unbounded queues ever need to scale past
   /// ~10^4 pending requests.
-  std::size_t scheduled_head(const std::vector<char>& parked) const;
+  std::size_t scheduled_head(const ParkFlags& parked) const;
 
   /// Would the backlog (plus `extra_cost`/`extra_requests`) exceed a cap?
   /// Caller holds mutex_ with the inboxes drained (the drop-oldest path),
@@ -265,7 +252,6 @@ class RequestQueue {
 
   const std::size_t workers_;
   DynamicBatcher batcher_;
-  const DispatchPolicy policy_;
   const AdmissionConfig admission_;
 
   // ------------------------------------------------ submit side (no mutex_)
@@ -283,12 +269,14 @@ class RequestQueue {
   // ------------------------------------------- scheduler state (mutex_)
   mutable std::mutex mutex_;
   std::condition_variable cv_;
-  std::vector<ServeRequest> pending_;
+  // pending_ and parked_scratch_ grow whenever a backlog peaks above every
+  // earlier one, and that can happen mid-run; growth draws from the buffer
+  // pool's shelves instead of the heap.
+  RequestBacklog pending_;
   std::uint64_t window_expiries_ = 0;         // batching-window counter
   std::uint64_t sched_epoch_ = 0;             // bumped on pop/requeue/close
-  std::size_t turn_ = 0;                      // kRotation state
-  std::vector<std::uint64_t> assigned_cost_;  // kLeastLoaded state
-  std::vector<char> parked_scratch_;          // pop-time park flags, reused
+  std::vector<std::uint64_t> assigned_cost_;  // dispatch state
+  ParkFlags parked_scratch_;                  // pop-time park flags, reused
 };
 
 }  // namespace onesa::serve

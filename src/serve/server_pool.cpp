@@ -52,7 +52,7 @@ void fail_request(ServeRequest& req, std::exception_ptr error) {
 ServerPool::Core::Core(ServerPoolConfig cfg)
     : config(std::move(cfg)),
       batcher(config.batcher),
-      queue(config.workers, batcher, config.dispatch, config.admission),
+      queue(config.workers, batcher, config.admission),
       inflight_gauge(obs::MetricsRegistry::global().gauge(
           "serve_shard_inflight_cost{shard=\"" + std::to_string(config.shard) + "\"}")) {}
 
@@ -105,8 +105,7 @@ ServerPool::ServerPool(ServerPoolConfig config, std::shared_ptr<ModelRegistry> r
   }
   ONESA_LOG_DEBUG << "serve: pool up with " << core.workers.size() << " workers ("
                   << core.config.accelerator.array.rows << "x"
-                  << core.config.accelerator.array.cols << " array each, "
-                  << dispatch_policy_name(core.config.dispatch) << " dispatch, admission "
+                  << core.config.accelerator.array.cols << " array each, admission "
                   << (core.config.admission.unlimited()
                           ? std::string_view("unlimited")
                           : overload_policy_name(core.config.admission.policy))

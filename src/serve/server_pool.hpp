@@ -87,10 +87,6 @@ struct ServerPoolConfig {
   /// Replicated to every worker's accelerator instance.
   OneSaConfig accelerator;
   BatcherConfig batcher;
-  /// How the queue picks the worker for the next batch. Least-loaded levels
-  /// per-worker simulated cycles under heterogeneous request costs;
-  /// rotation gives every worker every Nth batch regardless of cost.
-  DispatchPolicy dispatch = DispatchPolicy::kLeastLoaded;
   /// Backlog bounds + load-shedding policy (default: unlimited, no sheds).
   /// Pools inside a serve::Fleet usually stay unlimited here — admission
   /// moves up to the fleet so shedding decisions see fleet-wide backlog.

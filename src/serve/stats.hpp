@@ -2,6 +2,12 @@
 // SLO counters (deadline misses, sheds, batching-window expiries) and
 // simulated-cycle totals.
 //
+// Latencies live in one obs log-linear histogram per priority class (the
+// bucket format /metrics exports), so a ServeStats has a fixed size however
+// long the server runs: recording and merging are bucket adds, and
+// percentiles follow obs::HistogramSnapshot::percentile (at most 1/32 below
+// the exact nearest-rank value). Means are exact (sum / count).
+//
 // Each pool worker owns one ServeStats and records into it under the
 // worker's own lock; ServerPool::stats() merges the per-worker instances
 // into one pool-wide snapshot, and Fleet::stats() sums the per-shard
@@ -14,6 +20,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "obs/metrics.hpp"
 #include "serve/request.hpp"
 #include "sim/clock.hpp"
 #include "tensor/matrix.hpp"
@@ -23,15 +30,10 @@ namespace onesa::serve {
 /// Number of scheduling classes (Priority::kInteractive/kNormal/kBulk).
 inline constexpr std::size_t kPriorityClasses = 3;
 
-/// Latency samples ride the recycling tensor buffer pool: BatchRecord
-/// vectors are rebuilt on every batch on the worker hot path, and ServeStats
-/// growth reallocations happen mid-measurement — both must stay off the raw
-/// heap for the serve tier's zero-allocation steady state.
-using LatencySamples = std::vector<double, tensor::DefaultInitAllocator<double>>;
-using LatencyClasses = std::vector<Priority, tensor::DefaultInitAllocator<Priority>>;
-
 /// Per-batch accounting handed from the batch executor to the stats sink.
 /// Cycle/MAC charges appear once per batch; latencies once per request.
+/// The latency vectors are rebuilt for every batch on the worker hot path,
+/// so they ride the recycling tensor buffer pool, not the raw heap.
 struct BatchRecord {
   sim::CycleStats cycles;
   std::uint64_t mac_ops = 0;
@@ -40,10 +42,11 @@ struct BatchRecord {
   std::size_t padded_rows = 0;  // tile rows including padding
   std::size_t deadline_misses = 0;  // requests completed past their deadline
   std::size_t shard = 0;  // fleet shard that executed the batch (0 standalone)
-  LatencySamples latency_ms;  // queue+service wall latency per request
+  /// Queue+service wall latency per request.
+  std::vector<double, tensor::DefaultInitAllocator<double>> latency_ms;
   /// Scheduling class of each latency_ms entry (parallel vector). May be
   /// left empty by hand-built records; every entry then counts as kNormal.
-  LatencyClasses latency_class;
+  std::vector<Priority, tensor::DefaultInitAllocator<Priority>> latency_class;
 };
 
 class ServeStats {
@@ -84,8 +87,9 @@ class ServeStats {
   double batch_fill() const;
   double mean_batch_requests() const;
 
-  /// Wall-clock latency percentile in ms, p in [0, 100]. Nearest-rank on the
-  /// sorted latencies, so the result is monotone in p. 0 when empty.
+  /// Wall-clock latency percentile in ms over every class, p in [0, 100]
+  /// (throws outside it). Nearest rank over the histogram buckets, so the
+  /// result is monotone in p. 0 when empty.
   double percentile_latency_ms(double p) const;
   double mean_latency_ms() const;
 
@@ -115,8 +119,10 @@ class ServeStats {
   std::uint64_t window_expiries_ = 0;
   sim::CycleStats cycles_;
   std::uint64_t mac_ops_ = 0;
-  LatencySamples latency_ms_;
-  std::array<LatencySamples, kPriorityClasses> class_latency_ms_;
+  std::array<obs::HistogramSnapshot, kPriorityClasses> class_latency_ms_;
+
+  /// The classless aggregate: the merge of the per-class histograms.
+  obs::HistogramSnapshot latency_ms() const;
 };
 
 }  // namespace onesa::serve

@@ -110,52 +110,6 @@ TEST(Fleet, ServesModelBitExactlyAndShardStatsSumToFleetTotals) {
   EXPECT_GT(fleet.makespan_cycles(), 0u);
 }
 
-TEST(Fleet, RoundRobinRoutesSubmissionsInTurn) {
-  FleetConfig cfg = small_fleet(2, 1);
-  cfg.router = RouterPolicy::kRoundRobin;
-  Fleet fleet(cfg);
-
-  const auto trace = std::make_shared<nn::WorkloadTrace>(nn::gcn_trace(64, 16, 8, 4, 4));
-  std::vector<std::future<ServeResult>> futures;
-  for (int i = 0; i < 8; ++i) futures.push_back(fleet.submit_trace(trace));
-  for (std::size_t i = 0; i < futures.size(); ++i) {
-    // Routing happens at submit on the submitting thread, so the rotation
-    // is exact: submission i lands on shard i % 2.
-    EXPECT_EQ(futures[i].get().shard, i % 2) << "submission " << i;
-  }
-  fleet.shutdown();
-}
-
-TEST(Fleet, ModelAffinityPinsAModelToOneShardAcrossSwaps) {
-  FleetConfig cfg = small_fleet(4, 1);
-  cfg.router = RouterPolicy::kModelAffinity;
-  Fleet fleet(cfg);
-  Rng rng(81);
-  fleet.register_model("alpha", make_mlp(4, 8, 2, rng), batchable_options());
-  fleet.register_model("beta", make_mlp(4, 8, 2, rng), batchable_options());
-
-  auto served_shards = [&](const std::string& name, int n) {
-    std::vector<std::future<ServeResult>> futures;
-    for (int i = 0; i < n; ++i)
-      futures.push_back(fleet.submit_model(name, tensor::random_uniform(2, 4, rng)));
-    std::vector<std::size_t> shards;
-    for (auto& f : futures) shards.push_back(f.get().shard);
-    return shards;
-  };
-
-  const auto alpha = served_shards("alpha", 6);
-  const auto beta = served_shards("beta", 6);
-  for (std::size_t s : alpha) EXPECT_EQ(s, alpha.front());  // one shard per model
-  for (std::size_t s : beta) EXPECT_EQ(s, beta.front());
-
-  // Affinity hashes the NAME, so a hot-swap keeps the model on its shard
-  // (the new version's batches keep folding into the same queue).
-  fleet.swap_model("alpha", make_mlp(4, 8, 2, rng));
-  const auto swapped = served_shards("alpha", 4);
-  for (std::size_t s : swapped) EXPECT_EQ(s, alpha.front());
-  fleet.shutdown();
-}
-
 TEST(Fleet, SharedRegistryPacksWeightsOncePerFleet) {
   if (!tensor::kernels::pack_counter_enabled()) {
     GTEST_SKIP() << "pack counter compiled out (NDEBUG build)";

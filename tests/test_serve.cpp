@@ -4,12 +4,17 @@
 // percentiles are monotone, and lifetime counters merge across workers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <cmath>
 #include <fstream>
 #include <memory>
+#include <random>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "common/alloc_count.hpp"
 #include "common/rng.hpp"
 #include "nn/activations.hpp"
 #include "nn/embedding.hpp"
@@ -22,6 +27,7 @@
 #include "serve/request_queue.hpp"
 #include "serve/server_pool.hpp"
 #include "serve/stats.hpp"
+#include "tensor/buffer_pool.hpp"
 #include "tensor/kernels/thread_pool.hpp"
 #include "tensor/ops.hpp"
 
@@ -187,7 +193,7 @@ TEST(Batcher, TakeBatchRespectsBudgetsAndOrder) {
   cfg.max_batch_rows = 6;
   DynamicBatcher batcher(cfg);
 
-  std::vector<ServeRequest> pending;
+  RequestBacklog pending;
   std::vector<RequestId> ids;
   for (std::size_t rows : {3u, 2u, 4u, 1u}) {  // 3+2 fit; 4 overflows; 1 fits
     auto t = make_elementwise_request(cpwl::FunctionKind::kTanh, random_fix(rows, 4, rng));
@@ -276,36 +282,11 @@ TEST(ServerPool, TraceRequestMatchesDirectEstimate) {
   EXPECT_EQ(fleet.mac_ops, nn::trace_mac_ops(*trace));
 }
 
-TEST(ServerPool, RotationBalancesSimulatedLoadExactly) {
-  // 16 identical trace requests over 4 workers: rotation dispatch gives each
-  // worker exactly 4, so per-worker busy cycles are equal and the fleet
-  // makespan is total/4 — the mechanism behind the N-worker speedup of
-  // bench/serving_throughput.cpp.
-  ServerPoolConfig cfg;
-  cfg.workers = 4;
-  cfg.dispatch = DispatchPolicy::kRotation;
-  cfg.accelerator = small_config(ExecutionMode::kAnalytic);
-  ServerPool pool(cfg);
-
-  const auto trace = std::make_shared<nn::WorkloadTrace>(nn::gcn_trace(256, 32, 16, 4, 8));
-  std::vector<std::future<ServeResult>> futures;
-  for (int i = 0; i < 16; ++i) futures.push_back(pool.submit_trace(trace));
-  for (auto& f : futures) f.get();
-  pool.shutdown();
-
-  const auto busy = pool.worker_busy_cycles();
-  ASSERT_EQ(busy.size(), 4u);
-  for (std::size_t w = 1; w < busy.size(); ++w) EXPECT_EQ(busy[w], busy[0]);
-  EXPECT_EQ(pool.makespan_cycles(), busy[0]);
-  EXPECT_EQ(pool.stats().total_cycles().total(), 4 * busy[0]);
-}
-
 TEST(ServerPool, LeastLoadedMatchesRotationOnUniformCosts) {
   // Identical costs: least-loaded with lowest-index tie-break degenerates to
   // the rotation schedule, so the uniform-traffic guarantees carry over.
   ServerPoolConfig cfg;
   cfg.workers = 4;
-  cfg.dispatch = DispatchPolicy::kLeastLoaded;
   cfg.accelerator = small_config(ExecutionMode::kAnalytic);
   ServerPool pool(cfg);
 
@@ -320,11 +301,12 @@ TEST(ServerPool, LeastLoadedMatchesRotationOnUniformCosts) {
   for (std::size_t w = 1; w < busy.size(); ++w) EXPECT_EQ(busy[w], busy[0]);
 }
 
-TEST(ServerPool, LeastLoadedBalancesSkewedCostsBetterThanRotation) {
-  // Heterogeneous traffic: one heavy trace followed by many light ones. The
-  // rotation hands every second request to the worker already holding the
-  // heavy trace; least-loaded routes the light stream to the other worker
-  // until the assigned simulated cost evens out.
+TEST(ServerPool, LeastLoadedKeepsLightTracesOffTheHeavyWorker) {
+  // Heterogeneous traffic: one heavy trace followed by many light ones.
+  // Least-loaded routes the light stream to the other worker until the
+  // assigned simulated cost evens out, so no light trace queues behind the
+  // heavy one before then (a strict rotation would put every second one
+  // there).
   const auto heavy =
       std::make_shared<nn::WorkloadTrace>(nn::gcn_trace(2048, 64, 32, 8, 16));
   const auto light = std::make_shared<nn::WorkloadTrace>(nn::gcn_trace(64, 16, 8, 4, 4));
@@ -332,32 +314,32 @@ TEST(ServerPool, LeastLoadedBalancesSkewedCostsBetterThanRotation) {
   const std::uint64_t light_macs = nn::trace_mac_ops(*light);
   ASSERT_GT(heavy_macs, 8 * light_macs);  // the skew the test depends on
 
-  auto run = [&](DispatchPolicy policy) {
-    ServerPoolConfig cfg;
-    cfg.workers = 2;
-    cfg.dispatch = policy;
-    cfg.accelerator = small_config(ExecutionMode::kAnalytic);
-    ServerPool pool(cfg);
-    std::vector<std::future<ServeResult>> futures;
-    futures.push_back(pool.submit_trace(heavy));
-    for (int i = 0; i < 12; ++i) futures.push_back(pool.submit_trace(light));
-    for (auto& f : futures) f.get();
-    pool.shutdown();
-    return pool.makespan_cycles();
-  };
+  ServerPoolConfig cfg;
+  cfg.workers = 2;
+  cfg.accelerator = small_config(ExecutionMode::kAnalytic);
+  ServerPool pool(cfg);
+  std::vector<std::future<ServeResult>> futures;
+  futures.push_back(pool.submit_trace(heavy));
+  for (int i = 0; i < 12; ++i) futures.push_back(pool.submit_trace(light));
 
-  const std::uint64_t rotation_makespan = run(DispatchPolicy::kRotation);
-  const std::uint64_t least_loaded_makespan = run(DispatchPolicy::kLeastLoaded);
-  // Rotation pins ~6 light traces behind the heavy one on worker 0;
-  // least-loaded sends every light trace to worker 1 until the costs level,
-  // so its makespan must be strictly better.
-  EXPECT_LT(least_loaded_makespan, rotation_makespan);
+  // Equal priority and no deadlines: batches pop in submission order, so
+  // the heavy trace goes first, to worker 0 (every cost 0, lowest index).
+  const std::size_t heavy_worker = futures[0].get().worker;
+  EXPECT_EQ(heavy_worker, 0u);
+  std::uint64_t other_cost = 0;
+  for (std::size_t i = 1; i < futures.size(); ++i) {
+    const ServeResult r = futures[i].get();
+    if (other_cost < heavy_macs) {
+      EXPECT_NE(r.worker, heavy_worker) << "light trace " << i << " ran behind the heavy one";
+      other_cost += light_macs;
+    }
+  }
+  pool.shutdown();
 }
 
 TEST(ServerPool, LeastLoadedAssignedCostTracksEstimates) {
   ServerPoolConfig cfg;
   cfg.workers = 2;
-  cfg.dispatch = DispatchPolicy::kLeastLoaded;
   cfg.accelerator = small_config(ExecutionMode::kAnalytic);
   // One request per batch so assigned costs map 1:1 to request estimates.
   cfg.batcher.max_batch_requests = 1;
@@ -739,6 +721,77 @@ TEST(Batcher, ModelCompatibilityRules) {
   EXPECT_FALSE(DynamicBatcher::compatible(c1.request, c2.request));  // non-batchable
 }
 
+TEST(ServeStats, PercentilesStayWithinOneBucketOfNearestRank) {
+  // 12,000 lognormal latencies (never on a bucket edge) across the three
+  // classes, recorded batch by batch into two ServeStats that are then
+  // merged. Every percentile is the histogram's: at most 1/32 below the
+  // exact nearest-rank value and never above it; p0 is the exact minimum.
+  std::mt19937 gen(4242);
+  std::lognormal_distribution<double> latency(1.0, 1.2);
+  std::uniform_int_distribution<int> pick_class(0, static_cast<int>(kPriorityClasses) - 1);
+  ServeStats a;
+  ServeStats b;
+  std::vector<double> all;
+  std::array<std::vector<double>, kPriorityClasses> by_class;
+  for (int batch = 0; batch < 24; ++batch) {
+    BatchRecord record;
+    record.requests = 500;
+    for (int i = 0; i < 500; ++i) {
+      const double v = latency(gen);
+      const int c = pick_class(gen);
+      record.latency_ms.push_back(v);
+      record.latency_class.push_back(static_cast<Priority>(c));
+      all.push_back(v);
+      by_class[static_cast<std::size_t>(c)].push_back(v);
+    }
+    (batch % 3 == 0 ? b : a).record_batch(record);
+  }
+  a.merge(b);
+
+  const auto check = [](std::vector<double> samples, const auto& percentile,
+                        const auto& mean, const std::string& what) {
+    ASSERT_FALSE(samples.empty());
+    double sum = 0.0;
+    for (double v : samples) sum += v;
+    EXPECT_NEAR(mean(), sum / static_cast<double>(samples.size()), 1e-9) << what;
+    std::sort(samples.begin(), samples.end());
+    EXPECT_EQ(percentile(0.0), samples.front()) << what;
+    for (double p : {0.1, 1.0, 10.0, 25.0, 50.0, 75.0, 90.0, 95.0, 99.0, 99.9, 100.0}) {
+      const auto rank = static_cast<std::size_t>(
+          std::max(1.0, std::ceil(p / 100.0 * static_cast<double>(samples.size()))));
+      const double exact = samples[rank - 1];
+      const double got = percentile(p);
+      EXPECT_LE(got, exact) << what << " p" << p;
+      EXPECT_GE(got, exact * (1.0 - 1.0 / 32.0)) << what << " p" << p;
+    }
+  };
+  check(all, [&](double p) { return a.percentile_latency_ms(p); },
+        [&] { return a.mean_latency_ms(); }, "all classes");
+  for (std::size_t c = 0; c < kPriorityClasses; ++c) {
+    const auto cls = static_cast<Priority>(c);
+    EXPECT_EQ(a.class_completed(cls), by_class[c].size());
+    check(by_class[c], [&](double p) { return a.class_percentile_latency_ms(cls, p); },
+          [&] { return a.class_mean_latency_ms(cls); }, "class " + std::to_string(c));
+  }
+}
+
+TEST(ServeStats, RecordBatchNeverAllocates) {
+  // Fixed-size histograms: 10^5 latencies later the stats hold exactly the
+  // memory they were constructed with.
+  ServeStats stats;
+  BatchRecord record;
+  record.requests = 100;
+  for (int i = 0; i < 100; ++i) {
+    record.latency_ms.push_back(0.25 + 0.37 * i);
+    record.latency_class.push_back(static_cast<Priority>(i % kPriorityClasses));
+  }
+  const std::uint64_t before = alloccount::thread_allocations();
+  for (int i = 0; i < 1000; ++i) stats.record_batch(record);
+  EXPECT_EQ(alloccount::thread_allocations() - before, 0u);
+  EXPECT_EQ(stats.completed(), 100000u);
+  EXPECT_EQ(stats.class_completed(Priority::kBulk), 33000u);
+}
+
 // ------------------------------------------- priority / deadline scheduling
 
 /// Drain `queue` from a single worker and return the request ids in service
@@ -852,14 +905,46 @@ TEST(Scheduling, ResultCarriesPriorityClass) {
   pool.shutdown();
 }
 
+TEST(Scheduling, PopAfterARecordBacklogMakesNoHeapAllocations) {
+  // A backlog deeper than any before it grows the scheduling backlog and
+  // the park flags mid-run. With the buffer pool prewarmed (as the serving
+  // bench does at startup) that growth comes off the pool's shelves, so the
+  // popping worker makes no heap allocation.
+  if (!tensor::pool::enabled()) GTEST_SKIP() << "buffer pool disabled (ONESA_BUFFER_POOL=0)";
+  tensor::pool::prewarm(std::size_t{1} << 17, 16);
+  RequestQueue queue(1, DynamicBatcher(one_request_batches()));
+  Rng rng(64);
+  std::vector<TaggedRequest> tagged;
+  tagged.reserve(132);
+  std::vector<ServeRequest> batch;  // reused like the worker loop's
+  batch.reserve(1);
+  const auto push_and_drain = [&](std::size_t n) {
+    for (std::size_t i = 0; i < n; ++i) {
+      tagged.push_back(
+          make_elementwise_request(cpwl::FunctionKind::kRelu, random_fix(1, 4, rng)));
+      queue.push(std::move(tagged.back().request));
+    }
+    std::uint64_t allocs = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::uint64_t before = alloccount::thread_allocations();
+      queue.pop_batch(0, batch);
+      allocs += alloccount::thread_allocations() - before;
+      for (auto& req : batch) req.promise.set_value({});
+    }
+    return allocs;
+  };
+  push_and_drain(4);  // first pops: small capacities, metrics resolved
+  EXPECT_EQ(push_and_drain(128), 0u);
+  for (auto& t : tagged) t.result.get();
+}
+
 // ----------------------------------------------------------- admission control
 
 TEST(Admission, RejectPolicyShedsTheNewcomer) {
   AdmissionConfig admission;
   admission.max_pending_requests = 2;
   admission.policy = OverloadPolicy::kReject;
-  RequestQueue queue(1, DynamicBatcher(one_request_batches()),
-                     DispatchPolicy::kLeastLoaded, admission);
+  RequestQueue queue(1, DynamicBatcher(one_request_batches()), admission);
   Rng rng(60);
 
   auto a = make_elementwise_request(cpwl::FunctionKind::kRelu, random_fix(1, 4, rng));
@@ -880,8 +965,7 @@ TEST(Admission, RejectPolicyShedsTheNewcomer) {
 TEST(Admission, BacklogCostBudgetSheds) {
   AdmissionConfig admission;
   admission.max_backlog_cost = 40;  // each 2x4 elementwise request costs 16 MACs
-  RequestQueue queue(1, DynamicBatcher(one_request_batches()),
-                     DispatchPolicy::kLeastLoaded, admission);
+  RequestQueue queue(1, DynamicBatcher(one_request_batches()), admission);
   Rng rng(61);
 
   std::vector<TaggedRequest> tagged;
@@ -900,8 +984,7 @@ TEST(Admission, DropOldestEvictsLowestClassFirst) {
   AdmissionConfig admission;
   admission.max_pending_requests = 2;
   admission.policy = OverloadPolicy::kDropOldest;
-  RequestQueue queue(1, DynamicBatcher(one_request_batches()),
-                     DispatchPolicy::kLeastLoaded, admission);
+  RequestQueue queue(1, DynamicBatcher(one_request_batches()), admission);
   Rng rng(62);
 
   SubmitOptions bulk;
@@ -923,8 +1006,7 @@ TEST(Admission, DropOldestNeverEvictsAboveTheNewcomer) {
   AdmissionConfig admission;
   admission.max_pending_requests = 2;
   admission.policy = OverloadPolicy::kDropOldest;
-  RequestQueue queue(1, DynamicBatcher(one_request_batches()),
-                     DispatchPolicy::kLeastLoaded, admission);
+  RequestQueue queue(1, DynamicBatcher(one_request_batches()), admission);
   Rng rng(63);
 
   SubmitOptions interactive;
